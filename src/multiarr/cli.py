@@ -452,7 +452,6 @@ def _build_parser() -> _Parser:
             g.add_argument("--fixture", metavar="NAME|PATH|-", help="fixture file, shipped fixture name, or - for stdin")
         if search:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N", help="search state budget")
-            p.add_argument("--threads", type=int, default=1, metavar="N", help="accepted for interface stability; verdicts are thread-count invariant")
         if h0:
             p.add_argument("--h0", required=True, metavar="H", help="hyperplane: label, 1-based position, or H_{i,j}(expr)")
         if ziegler:

@@ -48,8 +48,8 @@ from .arrangement import (
     restriction,
     simple_multi,
 )
-from .rank2 import common_value, euler_value_shortcut, plane_exponent_pair
-from .scalars import Scalar, one
+from .rank2 import canonical_plane, common_value, euler_value_shortcut, plane_coordinates, plane_exponent_pair
+from .scalars import Scalar
 
 __all__ = [
     "BudgetExceeded",
@@ -138,22 +138,10 @@ class _Pattern:
         self.member_lines: list[dict[int, tuple[Scalar, Scalar]]] = []
         h0_form = arr.hyperplanes[h0]
         for members in self.groups:
-            forms = [arr.hyperplanes[p] for p in members] + [h0_form]
-            _, pivots = linalg.rref([f.coeffs for f in forms], arr.dim)
-            assert len(pivots) == 2
-            p1, p2 = pivots
-
-            def to_plane(f) -> tuple[Scalar, Scalar]:
-                a, b = f.coeffs[p1], f.coeffs[p2]
-                if a:
-                    b = b * a.inverse()
-                    a = one(arr.zeta_order)
-                else:
-                    b = one(arr.zeta_order)
-                return (a, b)
-
-            self.h0_lines.append(to_plane(h0_form))
-            self.member_lines.append({p: to_plane(arr.hyperplanes[p]) for p in members})
+            rows = [arr.hyperplanes[p].coeffs for p in members] + [h0_form.coeffs]
+            *lines, h0_line = plane_coordinates(rows, arr.dim, arr.zeta_order)
+            self.h0_lines.append(h0_line)
+            self.member_lines.append(dict(zip(members, lines)))
         self.restricted_keys = tuple(f.sort_key() for f in res.arrangement.hyperplanes)
 
 
@@ -224,20 +212,9 @@ class _Context:
         key = (h0, gids)
         cached = self._restr_planes.get(key)
         if cached is None:
-            pat = self.pattern(h0)
-            forms = [pat.res_arr.hyperplanes[g] for g in gids]
-            _, pivots = linalg.rref([f.coeffs for f in forms], pat.res_arr.dim)
-            assert len(pivots) == 2
-            p1, p2 = pivots
-            cached = {}
-            for g, f in zip(gids, forms):
-                a, b = f.coeffs[p1], f.coeffs[p2]
-                if a:
-                    b = b * a.inverse()
-                    a = one(self.order)
-                else:
-                    b = one(self.order)
-                cached[g] = (a, b)
+            res_arr = self.pattern(h0).res_arr
+            rows = [res_arr.hyperplanes[g].coeffs for g in gids]
+            cached = dict(zip(gids, plane_coordinates(rows, res_arr.dim, self.order)))
             self._restr_planes[key] = cached
         return cached
 
@@ -287,25 +264,15 @@ class _Engine:
         total = sum(state[i] for i in support)
         if rk == 1:
             return _padded((total,), ctx.dim)
-        red, pivots = linalg.rref([ctx.arr.hyperplanes[i].coeffs for i in support], ctx.dim)
-        p1, p2 = pivots
-        plane = []
-        for i in support:
-            a, b = ctx.arr.hyperplanes[i].coeffs[p1], ctx.arr.hyperplanes[i].coeffs[p2]
-            if a:
-                b = b * a.inverse()
-                a = one(ctx.order)
-            else:
-                b = one(ctx.order)
-            plane.append(((a, b), state[i]))
-        canonical = tuple(sorted(plane, key=lambda p: (tuple(c.sort_key() for c in p[0]), p[1])))
+        lines = plane_coordinates([ctx.arr.hyperplanes[i].coeffs for i in support], ctx.dim, ctx.order)
+        canonical = canonical_plane(zip(lines, (state[i] for i in support)))
         pair = plane_exponent_pair(canonical, ctx.order)
         return _padded(pair, ctx.dim)
 
     def restriction_exponents(self, ctx: _Context, state: tuple[int, ...], h0: int) -> tuple[str, tuple[int, ...] | None]:
         """Verdict and exponents (padded to dim-1) of the Euler restriction."""
         pat = ctx.pattern(h0)
-        values = self.euler_values_checked(ctx, state, h0)
+        values = ctx.euler_values(state, h0)
         gids = tuple(g for g, _ in values)
         sub_dim = ctx.dim - 1
         if len(gids) == 0:
@@ -315,12 +282,7 @@ class _Engine:
         restricted_rank = ctx.rank(ctx.support(state)) - 1
         if restricted_rank <= 2:
             coords = ctx.restricted_plane(h0, gids)
-            plane = tuple(
-                sorted(
-                    (((coords[g]), v) for g, v in values),
-                    key=lambda p: (tuple(c.sort_key() for c in p[0]), p[1]),
-                )
-            )
+            plane = canonical_plane((coords[g], v) for g, v in values)
             pair = plane_exponent_pair(plane, ctx.order)
             return "yes", _padded(pair, sub_dim)
         # genuine recursion: the restriction still has rank >= 3
@@ -331,9 +293,6 @@ class _Engine:
         sub_ctx = _context(sub.arrangement)
         verdict, exps = self.decide(sub_ctx, sub.mult)
         return verdict, exps
-
-    def euler_values_checked(self, ctx: _Context, state: tuple[int, ...], h0: int) -> list[tuple[int, int]]:
-        return ctx.euler_values(state, h0)
 
     def decide(self, ctx: _Context, target: tuple[int, ...]) -> tuple[str, tuple[int, ...] | None]:
         key = ctx.state_key(target)
@@ -582,6 +541,18 @@ class RefutationReport:
 _DIGEST_CAP = 10_000
 
 
+@dataclass
+class _RefuterFrame:
+    """One state on the refuter's deletion stack."""
+
+    state: tuple[int, ...]
+    virtual: tuple[int, ...]
+    total: int
+    next_h: int = 0  # first deletion index not tried yet
+    admissible: bool = False
+    child: tuple[int, tuple] | None = None  # (deleted index, memo key) being explored
+
+
 def _digest(key: tuple, virtual: tuple[int, ...]) -> str:
     text = repr((key, virtual)).encode()
     return hashlib.sha256(text).hexdigest()[:16]
@@ -612,74 +583,70 @@ def additive_refuter(
     if len(exps) != m.arrangement.dim:
         raise ValueError("need one (possibly zero) exponent per ambient dimension")
     ctx = _context(m.arrangement)
+    labels = m.arrangement.labels
     dead: set[tuple] = set()
-    stats = {"explored": 0, "dead_ends": 0, "max_depth": 0}
+    explored = dead_ends = max_depth = 0
     digests: list[str] = []
     truncated = False
 
-    def search(state: tuple[int, ...], virtual: tuple[int, ...], depth: int) -> tuple[str, ...] | None:
-        nonlocal truncated
-        stats["explored"] += 1
-        if stats["explored"] > budget:
+    def enter(state: tuple[int, ...], virtual: tuple[int, ...]) -> _RefuterFrame:
+        nonlocal explored, max_depth
+        explored += 1
+        if explored > budget:
             raise BudgetExceeded
-        if progress is not None and stats["explored"] % 1000 == 0:
-            progress(stats["explored"])
-        stats["max_depth"] = max(stats["max_depth"], depth)
-        total = sum(state)
-        if total == 0:
-            return ()
-        admissible_found = False
-        for h in range(len(state)):
-            if not state[h]:
-                continue
-            size = ctx.restriction_size(state, h)
-            target = total - size
-            if target < 1 or target not in virtual:
-                continue
-            admissible_found = True
-            lowered = list(virtual)
-            lowered.remove(target)
-            lowered.append(target - 1)
-            nxt_virtual = tuple(sorted(lowered))
-            child = list(state)
-            child[h] -= 1
-            child_state = tuple(child)
-            memo_key = (ctx.state_key(child_state), nxt_virtual)
-            if memo_key in dead:
-                continue
-            found = search(child_state, nxt_virtual, depth + 1)
-            if found is not None:
-                return (m.arrangement.labels[h],) + found
-            dead.add(memo_key)
-        if not admissible_found:
-            stats["dead_ends"] += 1
-            if len(digests) < _DIGEST_CAP:
-                digests.append(_digest(ctx.state_key(state), virtual))
-            else:
-                truncated = True
-        return None
+        if progress is not None and explored % 1000 == 0:
+            progress(explored)
+        max_depth = max(max_depth, len(stack))
+        return _RefuterFrame(state, virtual, sum(state))
 
+    # Depth-first over deletion chains with an explicit stack, so chains
+    # of any length fit; stack[i] is the state after i deletions, and
+    # each frame's ``child`` is the deletion it is exploring.
+    stack: list[_RefuterFrame] = []
+    chain: tuple[str, ...] | None = None
     try:
-        chain = search(m.mult, exps, 0)
+        stack.append(enter(m.mult, exps))
+        while stack:
+            frame = stack[-1]
+            if frame.total == 0:
+                # deletions from the top, reversed into build order
+                chain = tuple(labels[f.child[0]] for f in reversed(stack[:-1]))
+                break
+            state, virtual = frame.state, frame.virtual
+            for h in range(frame.next_h, len(state)):
+                if not state[h]:
+                    continue
+                target = frame.total - ctx.restriction_size(state, h)
+                if target < 1 or target not in virtual:
+                    continue
+                frame.admissible = True
+                lowered = list(virtual)
+                lowered.remove(target)
+                lowered.append(target - 1)
+                nxt_virtual = tuple(sorted(lowered))
+                child_state = state[:h] + (state[h] - 1,) + state[h + 1 :]
+                memo_key = (ctx.state_key(child_state), nxt_virtual)
+                if memo_key in dead:
+                    continue
+                frame.next_h = h + 1
+                frame.child = (h, memo_key)
+                stack.append(enter(child_state, nxt_virtual))
+                break
+            else:
+                # every deletion from this state failed
+                if not frame.admissible:
+                    dead_ends += 1
+                    if len(digests) < _DIGEST_CAP:
+                        digests.append(_digest(ctx.state_key(state), virtual))
+                    else:
+                        truncated = True
+                stack.pop()
+                if stack:
+                    dead.add(stack[-1].child[1])
     except BudgetExceeded:
-        return RefutationReport(
-            "unknown", stats["explored"], stats["dead_ends"], stats["max_depth"], None, tuple(digests), truncated, budget
-        )
-    if chain is not None:
-        # chain lists deletions from the top; reverse it into build order
-        return RefutationReport(
-            "chain_found",
-            stats["explored"],
-            stats["dead_ends"],
-            stats["max_depth"],
-            tuple(reversed(chain)),
-            tuple(digests),
-            truncated,
-            budget,
-        )
-    return RefutationReport(
-        "refuted", stats["explored"], stats["dead_ends"], stats["max_depth"], None, tuple(digests), truncated, budget
-    )
+        return RefutationReport("unknown", explored, dead_ends, max_depth, None, tuple(digests), truncated, budget)
+    verdict = "refuted" if chain is None else "chain_found"
+    return RefutationReport(verdict, explored, dead_ends, max_depth, chain, tuple(digests), truncated, budget)
 
 
 def table_rows(report: InductionReport) -> list[list]:

@@ -1,12 +1,15 @@
 """Exponents of rank-2 multiarrangements and Euler multiplicities.
 
 A rank-2 multiarrangement is always free; its exponent pair {d1, d2}
-with d1 <= d2 and d1 + d2 = |mu| is computed exactly: d1 is the smallest
-degree admitting a nonzero derivation theta = f1 d/dx + f2 d/dy with
-alpha^mu(H) dividing theta(alpha) for every line alpha = ker H, found by
-solving the divisibility conditions as an exact linear system for
-ascending degrees.  Witnesses are verified with an independent
-polynomial-division check.
+with d1 <= d2 and d1 + d2 = |mu| is computed exactly.  The module
+D(A, mu) of derivations theta = f1 d/dx + f2 d/dy with alpha^mu(H)
+dividing theta(alpha) for every line alpha = ker H has a basis of
+degrees d1 and d2.  One order-basis sweep over the divisibility
+conditions (Beckermann-Labahn) builds such a basis in O(|mu|^2) exact
+scalar operations.  Witnesses are certified by Saito's criterion: both
+generators pass an independent polynomial-division check, their degrees
+sum to |mu| and their determinant is nonzero.  ``verify_witness`` keeps
+a kernel scan over all lower degrees as an independent oracle.
 
 The Euler multiplicity of a restriction is computed by the common-value
 rule: for a rank-2 localization, mu*(Y) is the unique common nonzero
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import linalg
@@ -28,10 +32,13 @@ from .scalars import Scalar, one, zero
 __all__ = [
     "Rank2Derivation",
     "Rank2Result",
+    "canonical_plane",
     "derivation_satisfies",
     "euler_deletion",
     "euler_multiplicity",
     "euler_value_shortcut",
+    "is_saito_basis",
+    "plane_coordinates",
     "plane_exponent_pair",
     "plane_exponents",
     "rank2_exponents",
@@ -69,29 +76,36 @@ class Rank2Result:
     plane: Plane
 
 
-def reduce_to_plane(m: MultiArrangement) -> Plane:
-    """Express a rank-2 multiarrangement in two canonical coordinates.
+def plane_coordinates(rows: Sequence[Sequence[Scalar]], dim: int, order: int) -> list[tuple[Scalar, Scalar]]:
+    """Each of a rank-2 family of forms in two canonical coordinates.
 
     The coordinates are the pivot columns of the RREF of the forms, so
-    the reduction is deterministic; each output form is normalized.
+    the reduction is deterministic; each line comes out normalized, as
+    (1, b) for x + b*y or as (0, 1) for y.
     """
-    arr = m.arrangement
-    red, pivots = linalg.rref([f.coeffs for f in arr.hyperplanes], arr.dim)
+    _, pivots = linalg.rref(rows, dim)
     if len(pivots) != 2:
         raise ValueError(f"expected rank 2, got rank {len(pivots)}")
     p1, p2 = pivots
     out = []
-    for f, mu in zip(arr.hyperplanes, m.mult):
-        # f = f[p1] * row1 + f[p2] * row2 since the RREF rows have an
-        # identity pattern in the pivot columns
-        a, b = f.coeffs[p1], f.coeffs[p2]
-        if a:
-            b = b * a.inverse()
-            a = one(arr.zeta_order)
-        else:
-            b = one(arr.zeta_order)
-        out.append(((a, b), mu))
-    return tuple(out)
+    for row in rows:
+        # row = row[p1] * rref_row1 + row[p2] * rref_row2 since the RREF
+        # rows have an identity pattern in the pivot columns
+        a, b = row[p1], row[p2]
+        out.append((one(order), b * a.inverse()) if a else (a, one(order)))
+    return out
+
+
+def canonical_plane(lines: Iterable[tuple[tuple[Scalar, Scalar], int]]) -> Plane:
+    """A plane system in canonical line order: coordinates, then multiplicity."""
+    return tuple(sorted(lines, key=lambda p: (tuple(c.sort_key() for c in p[0]), p[1])))
+
+
+def reduce_to_plane(m: MultiArrangement) -> Plane:
+    """Express a rank-2 multiarrangement in two canonical coordinates."""
+    arr = m.arrangement
+    lines = plane_coordinates([f.coeffs for f in arr.hyperplanes], arr.dim, arr.zeta_order)
+    return tuple(zip(lines, m.mult))
 
 
 def _binomial_rows(line: tuple[Scalar, Scalar], mult: int, degree: int, order: int) -> list[list[Scalar]]:
@@ -133,27 +147,6 @@ def _kernel(plane: Plane, degree: int, order: int) -> list[tuple[Scalar, ...]]:
     return linalg.nullspace(rows, 2 * (degree + 1), order)
 
 
-def _pair_by_dimension(plane: Plane, order: int) -> tuple[int, int]:
-    """Exponent pair from one kernel dimension, no minimal-degree scan.
-
-    A rank-2 multiarrangement is free, so the derivations of degree d
-    form a space of dimension max(0, d - d1 + 1) + max(0, d - d2 + 1).
-    At d = ceil(|mu|/2) - 1, which is >= d1 unless the pair is the even
-    balanced one and always < d2, the dimension alone determines d1.
-    """
-    total = sum(mult for _, mult in plane)
-    dstar = (total + 1) // 2 - 1
-    rows: list[list[Scalar]] = []
-    for line, mult in plane:
-        rows.extend(_binomial_rows(line, mult, dstar, order))
-    dim = 2 * (dstar + 1) - len(linalg.rref(rows, 2 * (dstar + 1))[1])
-    if dim == 0:
-        assert total % 2 == 0, "zero kernel below ceil(|mu|/2) forces an even split"
-        return (total // 2, total // 2)
-    d1 = dstar - dim + 1
-    return (d1, total - d1)
-
-
 def _divide_once(g: list[Scalar], line: tuple[Scalar, Scalar]) -> list[Scalar] | None:
     """Divide the homogeneous bivariate g by a*x + b*y; None if inexact.
 
@@ -179,8 +172,8 @@ def _divide_once(g: list[Scalar], line: tuple[Scalar, Scalar]) -> list[Scalar] |
 def derivation_satisfies(plane: Plane, theta: Rank2Derivation) -> bool:
     """Independent witness check: alpha^mult | theta(alpha) for each line.
 
-    Uses repeated exact polynomial division, not the linear system that
-    produced the witness.
+    Uses repeated exact polynomial division, independent of the solver
+    that produced the witness.
     """
     if not any(theta.f1) and not any(theta.f2):
         return False
@@ -203,7 +196,9 @@ def verify_witness(result: Rank2Result, order: int) -> bool:
     Checks exact divisibility of the witness on every line, that its
     degree matches the smaller exponent, that the exponents sum to the
     multiplicity total, and that no nonzero derivation exists in any
-    degree below the witness (minimality).
+    degree below the witness (minimality).  The minimality check solves
+    the divisibility conditions as a linear system in each lower degree,
+    so it is an oracle independent of the order-basis solver.
     """
     pair = result.exponents
     if result.witness is None:
@@ -217,49 +212,139 @@ def verify_witness(result: Rank2Result, order: int) -> bool:
     return all(not _kernel(result.plane, d, order) for d in range(pair[0]))
 
 
-def _two_line_witness(plane: Plane, order: int) -> Rank2Derivation:
-    """Explicit witness for two lines: theta(alpha1) = alpha1^m1,
-    theta(alpha2) = 0, of degree m1 = min(m1, m2)."""
-    (l1, m1), (l2, m2) = plane
-    if m2 < m1:
-        (l1, m1), (l2, m2) = (l2, m2), (l1, m1)
-    a1, b1 = l1
-    a2, b2 = l2
-    inv_det = (a1 * b2 - a2 * b1).inverse()
-    g = [math.comb(m1, j) * a1 ** (m1 - j) * b1**j for j in range(m1 + 1)]
-    f1 = tuple(b2 * inv_det * c for c in g)
-    f2 = tuple(-a2 * inv_det * c for c in g)
-    return Rank2Derivation(m1, f1, f2)
+def _add_scaled(u: list[Scalar], c: Scalar, v: list[Scalar]) -> list[Scalar]:
+    """Coefficients of u + c*v; the lists may differ in length."""
+    out = u + [zero(c.order)] * (len(v) - len(u))
+    for k, x in enumerate(v):
+        if x:
+            out[k] = out[k] + c * x
+    return out
+
+
+def _times_linear(f: list[Scalar], b: Scalar) -> list[Scalar]:
+    """Coefficients of (x + b) * f, ascending in x."""
+    out = [zero(b.order)] + f
+    if b:
+        for k, c in enumerate(f):
+            if c:
+                out[k] = out[k] + b * c
+    return out
+
+
+def _taylor(g: list[Scalar], b: Scalar, count: int) -> list[Scalar]:
+    """The first ``count`` Taylor coefficients of g(x) at x = -b.
+
+    Each one is the remainder of a synthetic division by x + b, whose
+    quotient yields the next.
+    """
+    out: list[Scalar] = []
+    for _ in range(count):
+        accs: list[Scalar] = []
+        acc = zero(b.order)
+        for c in reversed(g):
+            acc = c - b * acc if b and acc else c
+            accs.append(acc)
+        out.append(accs.pop() if accs else zero(b.order))
+        g = accs[::-1]
+    return out
+
+
+def _order_basis(plane: Plane, order: int) -> tuple[Rank2Derivation, Rank2Derivation]:
+    """A basis of D(A, mu) of minimal degrees, by an M-Pade order-basis sweep.
+
+    This is the Beckermann-Labahn order basis (SIAM J. Matrix Anal.
+    Appl. 15, 1994) for two unknowns.  At y = 1 a derivation is a pair
+    (f1, f2) of polynomials in x.  The line y of multiplicity s asks
+    y^s | f2 in degree d, i.e. deg f2 <= d - s, so it enters only as the
+    degree shift (0, s).  Every other line x + b*y of multiplicity m asks
+    the Taylor coefficients of orders j < m of f1 + b*f2 at x = -b to
+    vanish.  Starting from {(1, 0), (0, 1)}, each condition is met by
+    eliminating with the vector of lower shifted degree as the pivot and
+    then multiplying the pivot by x + b.  That keeps the basis
+    shifted-reduced, so its shifted degrees are the exponents, and it
+    costs O(|mu|^2) scalar operations.  Lines must be normalized as by
+    :func:`plane_coordinates`.  Returns the homogenized generators,
+    lower degree first.
+    """
+    shift = next((mult for (a, _), mult in plane if not a), 0)
+    vecs = [([one(order)], []), ([], [one(order)])]  # (f1, f2), ascending in x
+    degrees = [0, shift]
+    for (a, b), mult in plane:
+        if not a:
+            continue
+        # kept in step with vecs: Taylor coefficients of f1 + b*f2 at -b
+        taylor = [_taylor(_add_scaled(f1, b, f2), b, mult) for f1, f2 in vecs]
+        for j in range(mult):
+            live = [i for i in (0, 1) if taylor[i][j]]
+            if not live:
+                continue
+            p = min(live, key=lambda i: degrees[i])
+            q = 1 - p
+            if taylor[q][j]:
+                c = -(taylor[q][j] * taylor[p][j].inverse())
+                vecs[q] = (_add_scaled(vecs[q][0], c, vecs[p][0]), _add_scaled(vecs[q][1], c, vecs[p][1]))
+                taylor[q] = _add_scaled(taylor[q], c, taylor[p])
+            vecs[p] = (_times_linear(vecs[p][0], b), _times_linear(vecs[p][1], b))
+            taylor[p] = [zero(order)] + taylor[p][:-1]
+            degrees[p] += 1
+
+    def homogenized(degree: int, f: list[Scalar]) -> tuple[Scalar, ...]:
+        # the coefficient of x^(degree-j) y^j is that of x^(degree-j)
+        return tuple(reversed(f + [zero(order)] * (degree + 1 - len(f))))
+
+    low, high = sorted(
+        (Rank2Derivation(d, homogenized(d, f1), homogenized(d, f2)) for d, (f1, f2) in zip(degrees, vecs)),
+        key=lambda theta: theta.degree,
+    )
+    return low, high
+
+
+def _evaluate(coeffs: tuple[Scalar, ...], x0: int) -> Scalar:
+    """A homogeneous polynomial, coefficients as in Rank2Derivation, at (x0, 1)."""
+    acc = zero(coeffs[0].order)
+    for c in coeffs:
+        acc = acc * x0 + c
+    return acc
+
+
+def is_saito_basis(plane: Plane, basis: tuple[Rank2Derivation, Rank2Derivation]) -> bool:
+    """Saito's criterion for multiarrangements (Ziegler 1989), in rank 2.
+
+    theta, eta in D(A, mu) form a basis iff deg theta + deg eta = |mu|
+    and their determinant f1(theta) f2(eta) - f2(theta) f1(eta) is
+    nonzero.  Membership is checked by :func:`derivation_satisfies`.
+    Given both, the determinant is c * prod alpha^mu, so it is tested at
+    one point (x0, 1) on none of the lines; a nonzero value there proves
+    independence outright.
+    """
+    theta, eta = basis
+    if theta.degree + eta.degree != sum(mult for _, mult in plane):
+        return False
+    if not (derivation_satisfies(plane, theta) and derivation_satisfies(plane, eta)):
+        return False
+    x0 = next(n for n in range(len(plane) + 1) if all(a * n + b for (a, b), _ in plane))
+    det = _evaluate(theta.f1, x0) * _evaluate(eta.f2, x0) - _evaluate(theta.f2, x0) * _evaluate(eta.f1, x0)
+    return bool(det)
 
 
 @functools.lru_cache(maxsize=None)
 def plane_exponents(plane: Plane, order: int) -> tuple[tuple[int, int], Rank2Derivation]:
     """Exponents and minimal-degree witness for a plane system.
 
-    Needs at least two distinct lines.  The ascending-degree loop
-    certifies minimality: every degree below the returned one had a zero
-    kernel.  The witness is always re-verified by polynomial division.
+    Needs at least two distinct lines, normalized as by
+    :func:`plane_coordinates`.  The two generators of the order basis
+    (:func:`_order_basis`) are certified by Saito's criterion
+    (:func:`is_saito_basis`): both lie in D(A, mu), their degrees sum to
+    |mu| and their determinant is nonzero.  So they form a basis, and
+    the lower one is a witness of minimal degree.
     """
-    total = sum(mult for _, mult in plane)
     if len(plane) < 2:
         raise ValueError("plane system needs at least two lines")
-    if len(plane) == 2:
-        m1, m2 = plane[0][1], plane[1][1]
-        witness = _two_line_witness(plane, order)
-        if not derivation_satisfies(plane, witness):
-            raise ArithmeticError("two-line witness failed verification")
-        return (min(m1, m2), max(m1, m2)), witness
-    degree = 0
-    while degree <= total // 2:
-        basis = _kernel(plane, degree, order)
-        if basis:
-            v = basis[0]
-            witness = Rank2Derivation(degree, v[: degree + 1], v[degree + 1 :])
-            if not derivation_satisfies(plane, witness):
-                raise ArithmeticError("solver produced an invalid witness")
-            return (degree, total - degree), witness
-        degree += 1
-    raise ArithmeticError("no derivation found at degree <= |mu|/2; input not of rank 2?")
+    basis = _order_basis(plane, order)
+    if not is_saito_basis(plane, basis):
+        raise ArithmeticError("order basis failed Saito's criterion")
+    low, high = basis
+    return (low.degree, high.degree), low
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,8 +362,11 @@ def plane_exponent_pair(plane: Plane, order: int) -> tuple[int, int]:
       balanced case (any three distinct concurrent lines are linearly
       equivalent, so only the multiplicities matter).
 
-    Everything else goes to the exact minimal-degree solver.  Tests
-    cross-check every shortcut against the solver on random systems.
+    Everything else goes to the order-basis solver (:func:`_order_basis`)
+    and returns its degrees; this route skips the Saito certificate that
+    :func:`plane_exponents` adds.  Tests cross-check every shortcut and
+    the solver against the certified route and a kernel-scan oracle on
+    random systems.
 
     >>> from .scalars import one, rational
     >>> o = one(1)
@@ -287,6 +375,8 @@ def plane_exponent_pair(plane: Plane, order: int) -> tuple[int, int]:
     (1, 3)
     >>> plane_exponent_pair(tuple((l, m) for l, m in zip(lines, (5, 1, 2, 1))), 1)
     (4, 5)
+    >>> plane_exponent_pair(tuple((l, m) for l, m in zip(lines, (3, 1, 2, 2))), 1)
+    (3, 5)
     """
     k = len(plane)
     if k < 2:
@@ -302,7 +392,8 @@ def plane_exponent_pair(plane: Plane, order: int) -> tuple[int, int]:
         return (total - heavy, heavy)
     if k == 3:
         return (total // 2, total - total // 2)
-    return _pair_by_dimension(plane, order)
+    low, high = _order_basis(plane, order)
+    return (low.degree, high.degree)
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,8 +410,7 @@ def rank2_exponents(m: MultiArrangement) -> Rank2Result:
     rk = linalg.rank([f.coeffs for f in arr.hyperplanes], arr.dim)
     if rk == 1:
         return Rank2Result((0, m.total), None, ())
-    plane = reduce_to_plane(m)
-    canonical = tuple(sorted(plane, key=lambda p: (tuple(c.sort_key() for c in p[0]), p[1])))
+    canonical = canonical_plane(reduce_to_plane(m))
     pair, witness = plane_exponents(canonical, arr.zeta_order)
     return Rank2Result(pair, witness, canonical)
 
@@ -351,7 +441,7 @@ def _pair_for(lines: Plane, order: int) -> tuple[int, int]:
         return (0, 0)
     if len(active) == 1:
         return (0, active[0][1])
-    return plane_exponent_pair(tuple(sorted(active, key=lambda p: (tuple(c.sort_key() for c in p[0]), p[1]))), order)
+    return plane_exponent_pair(canonical_plane(active), order)
 
 
 def common_value(h0_line: tuple[Scalar, Scalar], m0: int, others: Plane, order: int) -> int:
@@ -394,22 +484,9 @@ def euler_multiplicity(m: MultiArrangement, h0: int) -> MultiArrangement:
         value = euler_value_shortcut(m0, other_mults)
         if value is None:
             # localize at the rank-2 flat spanned by h0 and the group
-            loc_forms = [arr.hyperplanes[p] for p in members]
-            red, pivots = linalg.rref([f.coeffs for f in loc_forms + [h0_form]], arr.dim)
-            assert len(pivots) == 2
-            p1, p2 = pivots
-
-            def to_plane(f) -> tuple[Scalar, Scalar]:
-                a, b = f.coeffs[p1], f.coeffs[p2]
-                if a:
-                    b = b * a.inverse()
-                    a = one(arr.zeta_order)
-                else:
-                    b = one(arr.zeta_order)
-                return (a, b)
-
-            others = tuple((to_plane(f), mu) for f, mu in zip(loc_forms, other_mults))
-            value = common_value(to_plane(h0_form), m0, others, arr.zeta_order)
+            rows = [arr.hyperplanes[p].coeffs for p in members] + [h0_form.coeffs]
+            *lines, h0_line = plane_coordinates(rows, arr.dim, arr.zeta_order)
+            value = common_value(h0_line, m0, tuple(zip(lines, other_mults)), arr.zeta_order)
         values.append(value)
     return MultiArrangement(res.arrangement, tuple(values))
 

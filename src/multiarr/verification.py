@@ -54,6 +54,7 @@ from .induction import (
     replay_addition_rows,
 )
 from .rank2 import (
+    canonical_plane,
     common_value,
     euler_multiplicity,
     euler_value_shortcut,
@@ -297,7 +298,7 @@ def _check_euler_consistency() -> tuple[bool, str]:
                 continue
             loc = localize_multi(m, flat)
             plane = reduce_to_plane(loc)
-            key = tuple(sorted(plane, key=lambda p: (tuple(c.sort_key() for c in p[0]), p[1])))
+            key = canonical_plane(plane)
             if key in seen:
                 continue
             seen.add(key)

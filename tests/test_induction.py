@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from multiarr.arrangement import simple_multi, ziegler_multiplicity
-from multiarr.catalog import intermediate, parse_spec_string, shipped_fixture
+from multiarr.catalog import intermediate, parse_fixture, parse_spec_string, shipped_fixture
 from multiarr.induction import (
     additive_refuter,
     check_addition_step,
@@ -174,6 +174,15 @@ def test_refuter_validates_the_exponents() -> None:
         additive_refuter(kappa, (7, 9, 12))
     with pytest.raises(ValueError, match="per ambient dimension"):
         additive_refuter(kappa, (13, 14))
+
+
+def test_refuter_walks_chains_deeper_than_the_recursion_limit() -> None:
+    forms = ("(1, 0, 0)", "(0, 1, 0)", "(0, 0, 1)")
+    boolean = parse_fixture("dim 3\nzeta 1\n" + "".join(f"form {f} mult 400\n" for f in forms))
+    rep = additive_refuter(boolean, (400, 400, 400))
+    assert rep.verdict == "chain_found"
+    assert (rep.explored, rep.dead_ends, rep.max_depth) == (1201, 0, 1200)
+    assert rep.chain is not None and len(rep.chain) == 1200
 
 
 def test_refuter_budget() -> None:

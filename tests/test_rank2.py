@@ -1,4 +1,4 @@
-"""Rank-2 exponents: closed forms vs the solver, witnesses, Euler values."""
+"""Rank-2 exponents: closed forms vs the solver, Saito certificates, witnesses, Euler values."""
 
 from __future__ import annotations
 
@@ -23,11 +23,13 @@ from multiarr.catalog import intermediate, parse_spec_string
 from multiarr.rank2 import (
     Rank2Derivation,
     Rank2Result,
+    _order_basis,
     common_value,
     derivation_satisfies,
     euler_deletion,
     euler_multiplicity,
     euler_value_shortcut,
+    is_saito_basis,
     plane_exponent_pair,
     plane_exponents,
     rank2_exponents,
@@ -35,7 +37,7 @@ from multiarr.rank2 import (
     triple,
     verify_witness,
 )
-from multiarr.scalars import Scalar, one, rational, zero, zeta
+from multiarr.scalars import Scalar, cyclotomic_polynomial, one, rational, zero, zeta
 
 
 def line(slope: Fraction | None, order: int = 1) -> tuple[Scalar, Scalar]:
@@ -45,30 +47,31 @@ def line(slope: Fraction | None, order: int = 1) -> tuple[Scalar, Scalar]:
     return (one(order), Scalar.of(slope, order))
 
 
-def plane_systems(min_lines: int = 2, max_lines: int = 5, max_mult: int = 4):
-    slopes = st.lists(
-        st.one_of(st.none(), st.fractions(min_value=-4, max_value=4, max_denominator=3)),
-        min_size=min_lines,
-        max_size=max_lines,
-        unique=True,
-    )
+def plane_systems(order: int = 1, min_lines: int = 2, max_lines: int = 5, max_mult: int = 4):
+    """Distinct lines x + s*y over Q(zeta_order), possibly with the line y."""
+    degree = len(cyclotomic_polynomial(order)) - 1
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    slope = st.tuples(*[coeff] * degree).map(lambda cs: Scalar(order, cs))
+    slopes = st.lists(st.one_of(st.none(), slope), min_size=min_lines, max_size=max_lines, unique=True)
     return slopes.flatmap(
         lambda ss: st.tuples(*[st.integers(1, max_mult) for _ in ss]).map(
-            lambda ms: tuple((line(s), m) for s, m in zip(ss, ms))
+            lambda ms: tuple(
+                ((zero(order), one(order)) if s is None else (one(order), s), m) for s, m in zip(ss, ms)
+            )
         )
     )
 
 
 @settings(max_examples=60, deadline=None)
-@given(plane_systems())
-def test_closed_forms_agree_with_the_solver(plane) -> None:
-    pair = plane_exponent_pair(plane, 1)
-    solved, witness = plane_exponents(plane, 1)
+@given(st.sampled_from((1, 3, 4)).flatmap(lambda r: st.tuples(st.just(r), plane_systems(r, max_lines=7, max_mult=6))))
+def test_closed_forms_agree_with_the_solver(case) -> None:
+    order, plane = case
+    pair = plane_exponent_pair(plane, order)
+    solved, witness = plane_exponents(plane, order)
     assert pair == solved
     assert pair[0] <= pair[1]
-    assert pair[0] + pair[1] == sum(m for _, m in plane)
-    assert witness.degree == solved[0]
-    assert derivation_satisfies(plane, witness)
+    # the kernel scan of verify_witness is an oracle independent of the order basis
+    assert verify_witness(Rank2Result(pair, witness, plane), order)
 
 
 def test_two_lines_are_the_multiplicities() -> None:
@@ -167,6 +170,23 @@ def test_verify_witness_rejects_tampering() -> None:
     assert not verify_witness(Rank2Result(pair, witness, heavier), 1)
     fake = Rank2Result((0, sum(m for _, m in plane)), None, plane)
     assert not verify_witness(fake, 1)
+
+
+def test_saito_certificate_rejects_tampering() -> None:
+    plane = tuple((line(s), 2) for s in (Fraction(0), None, Fraction(1), Fraction(-1)))
+    low, high = _order_basis(plane, 1)
+    assert (low.degree, high.degree) == (4, 4)
+    assert is_saito_basis(plane, (low, high))
+    # dependent generators: in D(A, mu), degrees sum to |mu|, determinant 0
+    assert not is_saito_basis(plane, (low, low))
+    # degrees summing to |mu| + 1: x * high is in D(A, mu) and independent of low
+    times_x = Rank2Derivation(high.degree + 1, high.f1 + (zero(1),), high.f2 + (zero(1),))
+    assert derivation_satisfies(plane, times_x)
+    assert not is_saito_basis(plane, (low, times_x))
+    # a generator outside D(A, mu)
+    swapped = Rank2Derivation(high.degree, high.f2, high.f1)
+    assert not derivation_satisfies(plane, swapped)
+    assert not is_saito_basis(plane, (low, swapped))
 
 
 def test_zero_derivation_never_satisfies() -> None:
