@@ -413,7 +413,7 @@ def _cmd_verify_paper(args) -> int:
     if args.only:
         only = [tok for chunk in args.only for tok in chunk.split(",") if tok]
     try:
-        results = run_all(only=only, threads=args.threads)
+        results = run_all(only=only)
     except ValueError as exc:
         raise CommandError(str(exc)) from None
     all_passed = all(r.passed for r in results)
@@ -489,7 +489,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify-paper", help="run the bundled acceptance checks", description="Run the bundled acceptance checks; any failure makes the exit code nonzero.")
     p.add_argument("--json", action="store_true", help="machine-readable output, byte-stable per input")
     p.add_argument("--only", action="append", metavar="IDS", help="subset of checks, by number or name fragment (repeatable, comma-separable)")
-    p.add_argument("--threads", type=int, default=1, metavar="N", help="fan checks out over a thread pool; the report is thread-count invariant")
     p.set_defaults(fn=_cmd_verify_paper)
 
     return parser

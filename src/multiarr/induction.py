@@ -12,9 +12,11 @@ exponents of every frontier state known (exponents of a free
 multiarrangement are unique), so validating an edge costs one Euler
 restriction instead of a blind recursive subtree.  Candidates at each
 state are ordered by descending multiplicity deficit (ties: lighter
-target first, then index), and a global memo keyed by the canonical
-(forms, multiplicities) content makes verdicts independent of the call
-path.
+target first, then index), and a memo keyed by the canonical (forms,
+multiplicities) content makes verdicts independent of the call path.
+The memo belongs to a :class:`Session`: calls that share a session
+share their verdicts, and a call without one starts a fresh session, so
+its node count depends only on its input.
 
 Positive answers carry a replayable chain of addition steps; negative
 answers are exhaustive (the whole reachable set below the target was
@@ -57,9 +59,9 @@ __all__ = [
     "InductionStep",
     "ObstructionReport",
     "RefutationReport",
+    "Session",
     "additive_refuter",
     "check_addition_step",
-    "clear_memo",
     "emit_induction_table",
     "hereditarily_inductively_free",
     "is_inductively_free",
@@ -107,17 +109,6 @@ def _padded(values: tuple[int, ...] | list[int], size: int) -> tuple[int, ...]:
     return tuple(sorted([0] * (size - len(values)) + list(values)))
 
 
-# global memo, keyed by canonical content; verdicts are path-independent
-_YES: dict[tuple, tuple[tuple[int, ...], tuple | None]] = {}
-_NO: set[tuple] = set()
-
-
-def clear_memo() -> None:
-    """Drop the global search memo (mainly for isolating benchmarks)."""
-    _YES.clear()
-    _NO.clear()
-
-
 class _Pattern:
     """Restriction data of the full parent arrangement at one hyperplane."""
 
@@ -146,7 +137,7 @@ class _Pattern:
 
 
 class _Context:
-    """Per-arrangement caches shared by every search that touches it."""
+    """Per-arrangement caches for one refuter run or one session's searches."""
 
     def __init__(self, arr: Arrangement) -> None:
         self.arr = arr
@@ -155,13 +146,16 @@ class _Context:
         self.order = arr.zeta_order
         self.form_keys = tuple(f.sort_key() for f in arr.hyperplanes)
         self.index_of_key = {k: i for i, k in enumerate(self.form_keys)}
+        # the form keys are distinct, so one sort orders every state key
+        order = sorted(range(self.n), key=self.form_keys.__getitem__)
+        self._key_order = tuple((i, self.form_keys[i]) for i in order)
         self._patterns: dict[int, _Pattern] = {}
         self._ranks: dict[frozenset[int], int] = {}
         self._euler_values: dict = {}
         self._restr_planes: dict = {}
 
     def state_key(self, state: tuple[int, ...]) -> tuple:
-        content = tuple(sorted((self.form_keys[i], m) for i, m in enumerate(state) if m))
+        content = tuple((k, state[i]) for i, k in self._key_order if state[i])
         return (self.dim, self.order, content)
 
     def support(self, state: tuple[int, ...]) -> tuple[int, ...]:
@@ -219,19 +213,32 @@ class _Context:
         return cached
 
 
-_CONTEXTS: dict[Arrangement, _Context] = {}
+class Session:
+    """Search memo shared by every call that is handed the same session.
 
+    ``yes`` maps a canonical state key to its exponents and the form key
+    of the addition that reached it (None for a chain base); ``no``
+    holds the keys proven not inductively free.  Both only ever gain
+    proven facts, so sharing a session changes node counts and which
+    certificate is found, never a verdict.
+    """
 
-def _context(arr: Arrangement) -> _Context:
-    ctx = _CONTEXTS.get(arr)
-    if ctx is None:
-        ctx = _Context(arr)
-        _CONTEXTS[arr] = ctx
-    return ctx
+    def __init__(self) -> None:
+        self.yes: dict[tuple, tuple[tuple[int, ...], tuple | None]] = {}
+        self.no: set[tuple] = set()
+        self._contexts: dict[Arrangement, _Context] = {}
+
+    def context(self, arr: Arrangement) -> _Context:
+        ctx = self._contexts.get(arr)
+        if ctx is None:
+            ctx = _Context(arr)
+            self._contexts[arr] = ctx
+        return ctx
 
 
 @dataclass
 class _Engine:
+    session: Session
     budget: int
     progress: Callable[[int], None] | None = None
     nodes: int = 0
@@ -290,23 +297,24 @@ class _Engine:
         for g, v in values:
             mult[g] = v
         sub = multi(pat.res_arr, mult)
-        sub_ctx = _context(sub.arrangement)
+        sub_ctx = self.session.context(sub.arrangement)
         verdict, exps = self.decide(sub_ctx, sub.mult)
         return verdict, exps
 
     def decide(self, ctx: _Context, target: tuple[int, ...]) -> tuple[str, tuple[int, ...] | None]:
+        yes, no = self.session.yes, self.session.no
         key = ctx.state_key(target)
-        hit = _YES.get(key)
+        hit = yes.get(key)
         if hit is not None:
             return "yes", hit[0]
-        if key in _NO:
+        if key in no:
             return "no", None
         support = ctx.support(target)
         rk = ctx.rank(support)
         if rk <= 2:
             self.spend()
             exps = self.low_rank_exponents(ctx, target, support, rk)
-            _YES[key] = (exps, None)
+            yes[key] = (exps, None)
             return "yes", exps
 
         # Chains grow upward from the zero vector inside the box
@@ -317,7 +325,7 @@ class _Engine:
         def established(x: tuple[int, ...]) -> tuple[int, ...] | None:
             e = exps_of.get(x)
             if e is None:
-                prior = _YES.get(ctx.state_key(x))
+                prior = yes.get(ctx.state_key(x))
                 if prior is not None:
                     e = prior[0]
                     exps_of[x] = e
@@ -325,7 +333,7 @@ class _Engine:
 
         def establish(x: tuple[int, ...], exps: tuple[int, ...], pred: tuple | None) -> None:
             exps_of[x] = exps
-            _YES.setdefault(ctx.state_key(x), (exps, pred))
+            yes.setdefault(ctx.state_key(x), (exps, pred))
 
         zero = (0,) * ctx.n
         if established(zero) is None:
@@ -375,7 +383,7 @@ class _Engine:
                 break
             if not advanced:
                 stack.pop()
-        _NO.add(key)
+        no.add(key)
         return "no", None
 
 
@@ -414,15 +422,21 @@ def is_inductively_free(
     m: MultiArrangement,
     budget: int = DEFAULT_BUDGET,
     progress: Callable[[int], None] | None = None,
+    *,
+    session: Session | None = None,
 ) -> InductionReport:
     """Decide inductive freeness, with a replayable certificate on Yes.
 
     The verdict "no" is exhaustive: every addition chain below the
     target multiplicity was explored (with memoization).  When the node
-    budget runs out the verdict is "unknown".
+    budget runs out the verdict is "unknown".  Calls that pass the same
+    ``session`` reuse each other's verdicts; without one the call gets a
+    fresh session.
     """
-    ctx = _context(m.arrangement)
-    engine = _Engine(budget, progress)
+    if session is None:
+        session = Session()
+    ctx = session.context(m.arrangement)
+    engine = _Engine(session, budget, progress)
     state = m.mult
     try:
         verdict, exps = engine.decide(ctx, state)
@@ -431,18 +445,19 @@ def is_inductively_free(
     if verdict != "yes":
         return InductionReport("no", None, (), (), None, engine.nodes, budget)
 
+    yes = session.yes
     steps: list[InductionStep] = []
     cur = state
     while True:
         key = ctx.state_key(cur)
-        cur_exps, h0_key = _YES[key]
+        cur_exps, h0_key = yes[key]
         if h0_key is None:
             break
         h0 = ctx.index_of_key[h0_key]
         child = list(cur)
         child[h0] -= 1
         child_state = tuple(child)
-        child_exps = _YES[ctx.state_key(child_state)][0]
+        child_exps = yes[ctx.state_key(child_state)][0]
         _, r_exps = engine.restriction_exponents(ctx, cur, h0)
         assert r_exps is not None
         steps.append(
@@ -451,7 +466,7 @@ def is_inductively_free(
         cur = child_state
     steps.reverse()
     base = tuple((m.arrangement.labels[i], mu) for i, mu in enumerate(cur) if mu)
-    base_exps = _YES[ctx.state_key(cur)][0]
+    base_exps = yes[ctx.state_key(cur)][0]
     return InductionReport("yes", exps, tuple(steps), base, base_exps, engine.nodes, budget)
 
 
@@ -476,13 +491,14 @@ def localization_obstruction(
     <= 2 are always clear and are skipped.
     """
     arr = m.arrangement
+    session = Session()
     scanned = 0
     unknown = 0
     for flat in intersection_lattice(arr, rank_limit):
         if flat.rank < 3:
             continue
         scanned += 1
-        report = is_inductively_free(localize_multi(m, flat), budget)
+        report = is_inductively_free(localize_multi(m, flat), budget, session=session)
         if report.verdict == "no":
             labels = tuple(arr.labels[i] for i in flat.closed)
             return ObstructionReport("obstructed", flat, labels, scanned, unknown)
@@ -509,8 +525,9 @@ def hereditarily_inductively_free(
     a simple multiarrangement only visit simple states, so this agrees
     with the classical notion for simple arrangements.
     """
+    session = Session()
     checked = 0
-    result = is_inductively_free(simple_multi(arr), budget, progress)
+    result = is_inductively_free(simple_multi(arr), budget, progress, session=session)
     checked += 1
     if result.verdict != "yes":
         return HereditaryReport(result.verdict, None, checked)
@@ -519,7 +536,7 @@ def hereditarily_inductively_free(
         if flat.rank == 0:
             continue
         res = restriction(arr, flat).arrangement
-        report = is_inductively_free(simple_multi(res), budget, progress)
+        report = is_inductively_free(simple_multi(res), budget, progress, session=session)
         checked += 1
         if report.verdict != "yes":
             return HereditaryReport(report.verdict, flat, checked)
@@ -582,7 +599,7 @@ def additive_refuter(
         raise ValueError(f"exponents sum to {sum(exps)}, |mu| is {m.total}")
     if len(exps) != m.arrangement.dim:
         raise ValueError("need one (possibly zero) exponent per ambient dimension")
-    ctx = _context(m.arrangement)
+    ctx = _Context(m.arrangement)
     labels = m.arrangement.labels
     dead: set[tuple] = set()
     explored = dead_ends = max_depth = 0
@@ -693,9 +710,10 @@ def replay_addition_rows(
 
     Starts from the target multiplicity minus all row additions, applies
     each row's addition, recomputes the Euler restriction exponents from
-    scratch (via the public triple machinery, independently of the
-    search caches), and checks both printed columns.  Returns the final
-    exponent multiset.  Raises ValueError on the first mismatch.
+    scratch (by ``euler_multiplicity`` and ``rank2_exponents``,
+    independently of the search caches), and checks both printed
+    columns.  Returns the final exponent multiset.  Raises ValueError
+    on the first mismatch.
     """
     from .rank2 import euler_multiplicity, rank2_exponents
 

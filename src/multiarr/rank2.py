@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import linalg
-from .arrangement import MultiArrangement, hyperplane_flat, multi, restriction
+from .arrangement import MultiArrangement, hyperplane_flat, restriction
 from .scalars import Scalar, one, zero
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "Rank2Result",
     "canonical_plane",
     "derivation_satisfies",
-    "euler_deletion",
     "euler_multiplicity",
     "euler_value_shortcut",
     "is_saito_basis",
@@ -43,7 +42,6 @@ __all__ = [
     "plane_exponents",
     "rank2_exponents",
     "reduce_to_plane",
-    "triple",
     "verify_witness",
 ]
 
@@ -489,17 +487,3 @@ def euler_multiplicity(m: MultiArrangement, h0: int) -> MultiArrangement:
             value = common_value(h0_line, m0, tuple(zip(lines, other_mults)), arr.zeta_order)
         values.append(value)
     return MultiArrangement(res.arrangement, tuple(values))
-
-
-def euler_deletion(m: MultiArrangement, h0: int) -> MultiArrangement:
-    """(A', mu'): multiplicity of h0 lowered by one (dropped at zero)."""
-    if m.mult[h0] < 1:
-        raise ValueError("cannot delete a hyperplane of multiplicity 0")
-    lowered = list(m.mult)
-    lowered[h0] -= 1
-    return multi(m.arrangement, lowered)
-
-
-def triple(m: MultiArrangement, h0: int) -> tuple[MultiArrangement, MultiArrangement]:
-    """The (deletion, Euler restriction) pair of (A, mu) at h0."""
-    return euler_deletion(m, h0), euler_multiplicity(m, h0)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -47,8 +46,8 @@ from .catalog import (
     shipped_table_names,
 )
 from .induction import (
+    Session,
     additive_refuter,
-    clear_memo,
     is_inductively_free,
     localization_obstruction,
     replay_addition_rows,
@@ -336,11 +335,15 @@ def _expected_delta_exponents(simple_exps: Sequence[int], m0: int) -> tuple[int,
 
 def _check_delta_suite() -> tuple[bool, str]:
     specs = _catalog_specs(max_rank=3)
+    # every concentrated multiplicity lies above the simple one, so the
+    # searches of one arrangement walk many of the same states: one memo
+    # serves the whole suite
+    session = Session()
     checked = 0
     yes_count = 0
     for spec in specs:
         arr = intermediate(spec)
-        simple_rep = is_inductively_free(simple_multi(arr))
+        simple_rep = is_inductively_free(simple_multi(arr), session=session)
         if simple_rep.verdict == "unknown":
             return False, f"{spec}: simple verdict unknown at default budget"
         kappa_by_h0 = [ziegler_multiplicity(arr, h) for h in range(arr.n)]
@@ -369,7 +372,7 @@ def _check_delta_suite() -> tuple[bool, str]:
                             f"{spec} H0={arr.labels[h0]} m0={m0}: Euler restriction at "
                             f"{arr.labels[h]} is {em_h.mult}, not concentrated of weight {m0} at the trace of H0"
                         )
-                rep = is_inductively_free(d)
+                rep = is_inductively_free(d, session=session)
                 if rep.verdict != simple_rep.verdict:
                     return False, (
                         f"{spec} H0={arr.labels[h0]} m0={m0}: concentrated verdict {rep.verdict} "
@@ -473,18 +476,7 @@ def run_check(check_id: str) -> CheckResult:
     raise ValueError(f"unknown check id {check_id!r}")
 
 
-def run_all(only: Iterable[str] | None = None, threads: int = 1) -> tuple[CheckResult, ...]:
-    """Run the acceptance checks, in order; results are scheduling-independent.
-
-    ``threads`` > 1 fans the independent checks out over a thread pool;
-    the shared memo tables only ever gain true facts, so the report is
-    the same for any thread count.
-    """
+def run_all(only: Iterable[str] | None = None) -> tuple[CheckResult, ...]:
+    """Run the acceptance checks, in order; each check owns its search memo."""
     ids = resolve_only(only) if only else check_ids()
-    clear_memo()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = tuple(pool.map(run_check, ids))
-    else:
-        results = tuple(run_check(i) for i in ids)
-    return results
+    return tuple(run_check(i) for i in ids)

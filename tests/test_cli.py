@@ -10,7 +10,6 @@ import pytest
 
 from multiarr.catalog import parse_fixture, shipped_fixture
 from multiarr.cli import main
-from multiarr.induction import clear_memo
 from multiarr.rank2 import euler_multiplicity
 
 
@@ -61,7 +60,6 @@ def test_charpoly_output(capsys) -> None:
 
 def test_json_bytes_are_input_determined(capsys) -> None:
     def snap() -> str:
-        clear_memo()
         code, out, _ = run_cli(capsys, ["indfree", "--spec", "A:2:3:0", "--json"])
         assert code == 0
         return out
@@ -78,11 +76,9 @@ def test_negative_verdict_exit_code(capsys) -> None:
 
 
 def test_budget_exit_code(capsys) -> None:
-    clear_memo()
     code, out, _ = run_cli(capsys, ["indfree", "--spec", "A:3:3:0", "--budget", "1"])
     assert code == 3
     assert "undecided within the budget" in out
-    clear_memo()
 
 
 def test_usage_errors_exit_one(capsys) -> None:
@@ -195,11 +191,11 @@ def test_table_emit_mode_refuses_negative_inputs(capsys) -> None:
     assert "verdict is no" in err
 
 
-def test_verify_subset_and_threads(capsys) -> None:
+def test_verify_subset_and_unknown_check(capsys) -> None:
     code, out, _ = run_cli(capsys, ["verify-paper", "--only", "3"])
     assert code == 0
     assert "1/1 checks passed" in out
-    code, out, _ = run_cli(capsys, ["verify-paper", "--only", "3,9", "--threads", "2", "--json"])
+    code, out, _ = run_cli(capsys, ["verify-paper", "--only", "3,9", "--json"])
     assert code == 0
     payload = payload_of(out)
     assert {r["name"] for r in payload["results"]} == {"fixture-derivation", "refuter-regressions"}

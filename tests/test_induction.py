@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from multiarr.arrangement import simple_multi, ziegler_multiplicity
 from multiarr.catalog import intermediate, parse_fixture, parse_spec_string, shipped_fixture
 from multiarr.induction import (
+    Session,
     additive_refuter,
     check_addition_step,
-    clear_memo,
     emit_induction_table,
     hereditarily_inductively_free,
     is_inductively_free,
@@ -33,7 +35,6 @@ def test_addition_step_combinatorics() -> None:
 
 
 def test_braid_certificate() -> None:
-    clear_memo()
     rep = is_inductively_free(spec_simple("A:2:3:0"))
     assert rep.verdict == "yes" and rep.is_free
     assert tuple(sorted(rep.exponents)) == (1, 2, 3)
@@ -51,15 +52,18 @@ def test_braid_certificate() -> None:
 
 
 def test_memo_makes_repeats_free() -> None:
-    clear_memo()
-    first = is_inductively_free(spec_simple("A:2:3:0"))
-    again = is_inductively_free(spec_simple("A:2:3:0"))
+    session = Session()
+    first = is_inductively_free(spec_simple("A:2:3:0"), session=session)
+    again = is_inductively_free(spec_simple("A:2:3:0"), session=session)
     assert first.nodes > 0 and again.nodes == 0
     assert again.exponents == first.exponents
+    # without a session every call starts cold, so counts are input-determined
+    cold = [is_inductively_free(spec_simple("A:2:3:0")) for _ in range(2)]
+    assert [rep.nodes for rep in cold] == [first.nodes, first.nodes]
+    assert cold[0].steps == cold[1].steps == first.steps
 
 
 def test_g333_is_exhaustively_negative() -> None:
-    clear_memo()
     rep = is_inductively_free(spec_simple("A:3:3:0"))
     assert rep.verdict == "no" and not rep.is_free
     assert rep.exponents is None and rep.steps == ()
@@ -67,26 +71,24 @@ def test_g333_is_exhaustively_negative() -> None:
 
 
 def test_budget_exhaustion_is_unknown_and_unpoisoned() -> None:
-    clear_memo()
-    rep = is_inductively_free(spec_simple("A:3:3:0"), budget=10)
+    session = Session()
+    rep = is_inductively_free(spec_simple("A:3:3:0"), budget=10, session=session)
     assert rep.verdict == "unknown"
     assert rep.nodes == 11 and rep.budget == 10
-    rep = is_inductively_free(spec_simple("A:3:3:0"))
+    rep = is_inductively_free(spec_simple("A:3:3:0"), session=session)
     assert rep.verdict == "no"
-    clear_memo()
-    rep = is_inductively_free(spec_simple("A:2:3:0"), budget=2)
+    session = Session()
+    rep = is_inductively_free(spec_simple("A:2:3:0"), budget=2, session=session)
     assert rep.verdict == "unknown"
-    rep = is_inductively_free(spec_simple("A:2:3:0"))
+    rep = is_inductively_free(spec_simple("A:2:3:0"), session=session)
     assert rep.verdict == "yes"
 
 
 def test_progress_hook_fires_every_thousand_nodes() -> None:
-    clear_memo()
     calls: list[int] = []
     rep = is_inductively_free(spec_simple("A:3:4:0"), budget=2500, progress=calls.append)
     assert rep.verdict == "unknown"
     assert calls == [1000, 2000]
-    clear_memo()
 
 
 def test_ziegler_restrictions_of_the_intermediate_family() -> None:
@@ -166,6 +168,17 @@ def test_refuter_rejects_impossible_exponents_immediately() -> None:
     assert len(rep.dead_end_digests) == 1 and not rep.digests_truncated
     rep = additive_refuter(spec_simple("A:3:3:0"), (1, 4, 4))
     assert rep.verdict == "refuted" and rep.explored == 1
+
+
+def test_refuter_pins_the_dead_end_digests() -> None:
+    rep = additive_refuter(shipped_fixture("g33_a2_kappa"), (8, 8, 11))
+    assert rep.verdict == "refuted"
+    assert (rep.explored, rep.dead_ends) == (258, 49)
+    digests = rep.dead_end_digests
+    assert len(digests) == 49 and not rep.digests_truncated
+    assert digests[:2] == ("cedc579451023ba3", "067e591894077ba6")
+    joined = hashlib.sha256(",".join(digests).encode()).hexdigest()
+    assert joined == "ad7a6f78af89ce0cfa9eb7cfb1a52dbf8bad892cbc3d71184efd25eb1650049b"
 
 
 def test_refuter_validates_the_exponents() -> None:

@@ -26,7 +26,6 @@ from multiarr.rank2 import (
     _order_basis,
     common_value,
     derivation_satisfies,
-    euler_deletion,
     euler_multiplicity,
     euler_value_shortcut,
     is_saito_basis,
@@ -34,7 +33,6 @@ from multiarr.rank2 import (
     plane_exponents,
     rank2_exponents,
     reduce_to_plane,
-    triple,
     verify_witness,
 )
 from multiarr.scalars import Scalar, cyclotomic_polynomial, one, rational, zero, zeta
@@ -214,13 +212,3 @@ def test_euler_matches_ziegler_above_simple() -> None:
             assert set(em.mult) == {1}
         else:
             assert em.mult == kappa.mult
-
-
-def test_deletion_and_triple() -> None:
-    arr = arrangement(2, 1, [[rational(1), rational(s)] for s in (0, 1)])
-    m = multi(arr, [2, 1])
-    deleted = euler_deletion(m, 1)
-    assert deleted.arrangement.n == 1 and deleted.mult == (2,)
-    d, r = triple(m, 0)
-    assert d.total == m.total - 1
-    assert r.total >= 1
