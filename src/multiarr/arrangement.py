@@ -161,11 +161,16 @@ def hyperplane_flat(arr: Arrangement, index: int) -> Flat:
 def intersection_lattice(arr: Arrangement, max_rank: int | None = None) -> tuple[Flat, ...]:
     """All flats of rank <= max_rank, sorted by (rank, closed set).
 
-    Built layer by layer: the layer of rank k+1 consists of the distinct
-    subspaces X cap H for X of rank k and H not containing X; canonical
-    RREF equations are used as dedup keys, so the output is
-    deterministic.
+    Built layer by layer, one echelon extension per cover X < Y: for each
+    flat X of rank k, the hyperplanes H_j not containing X are taken in
+    order, and those already in a cover Y = X cap H of X are skipped.
+    The closure and the canonical basis of each flat are computed once,
+    when it is first met; the closure scan skips those hyperplanes too,
+    as a hyperplane in one cover of X contains no other. Canonical RREF
+    equations are the dedup key, so the output is deterministic.
     """
+    if max_rank is not None and max_rank < 0:
+        raise ValueError(f"max_rank must be >= 0, got {max_rank}")
     n = arr.n
     limit = arr.dim if max_rank is None else min(max_rank, arr.dim)
     top = Flat((), 0, (), (), _standard_basis(arr.dim, arr.zeta_order))
@@ -182,22 +187,23 @@ def intersection_lattice(arr: Arrangement, max_rank: int | None = None) -> tuple
     while rk < limit and layer:
         seen: dict[tuple, Flat] = {}
         for flat in layer:
-            closed_set = set(flat.closed)
+            covered = set(flat.closed)
             for j in range(n):
-                if j in closed_set:
+                if j in covered:
                     continue
                 extended = linalg.extend_echelon(flat.equations, flat.pivots, arr.hyperplanes[j].coeffs)
                 assert extended is not None, "closed sets must be closed"
                 eqs, pivs = extended
-                if eqs in seen:
-                    continue
-                closed = tuple(
-                    i
-                    for i in range(n)
-                    if not any(linalg.reduce_against(arr.hyperplanes[i].coeffs, eqs, pivs))
-                )
-                basis = tuple(linalg.nullspace(eqs, arr.dim, arr.zeta_order))
-                seen[eqs] = Flat(closed, rk + 1, eqs, pivs, basis)
+                if eqs not in seen:
+                    closed = tuple(
+                        i
+                        for i in range(n)
+                        if i in flat.closed
+                        or (i not in covered and not any(linalg.reduce_against(arr.hyperplanes[i].coeffs, eqs, pivs)))
+                    )
+                    basis = tuple(linalg.nullspace(eqs, arr.dim, arr.zeta_order))
+                    seen[eqs] = Flat(closed, rk + 1, eqs, pivs, basis)
+                covered.update(seen[eqs].closed)
         layer = sorted(seen.values(), key=lambda f: f.closed)
         flats.extend(layer)
         rk += 1

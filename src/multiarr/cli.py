@@ -169,7 +169,10 @@ def _emit(args, status: str, payload: dict, human: str) -> int:
 def _cmd_lattice(args) -> int:
     m, name = _load_input(args)
     arr = m.arrangement
-    flats = intersection_lattice(arr, args.max_rank)
+    try:
+        flats = intersection_lattice(arr, args.max_rank)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
     counts: dict[str, int] = {}
     listing = []
     for f in flats:

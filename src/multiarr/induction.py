@@ -642,7 +642,8 @@ def additive_refuter(
                 lowered.append(target - 1)
                 nxt_virtual = tuple(sorted(lowered))
                 child_state = state[:h] + (state[h] - 1,) + state[h + 1 :]
-                memo_key = (ctx.state_key(child_state), nxt_virtual)
+                # one context per run, so the raw state is as injective a key as state_key
+                memo_key = (child_state, nxt_virtual)
                 if memo_key in dead:
                     continue
                 frame.next_h = h + 1

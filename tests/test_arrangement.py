@@ -114,6 +114,38 @@ def test_lattice_is_deterministic_and_rank_limited(g333) -> None:
             assert not any(
                 linalg.reduce_against(g333.hyperplanes[i].coeffs, f.equations, f.pivots)
             )
+        for i in set(range(g333.n)) - set(f.closed):
+            assert any(
+                linalg.reduce_against(g333.hyperplanes[i].coeffs, f.equations, f.pivots)
+            )
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        arrangement(2, 1, rows((1, 0), (0, 1), (1, 1))),
+        arrangement(3, 1, rows((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),
+        intermediate(parse_spec_string("A:2:3:0")),
+        intermediate(parse_spec_string("A:3:3:0")),
+    ],
+    ids=["concurrent-lines", "generic-planes", "A:2:3:0", "g333"],
+)
+def test_lattice_matches_the_closures_of_all_subsets(arr) -> None:
+    # oracle: the flats are the closures {i : rank(S + i) = rank(S)} of all subsets S
+    forms = [h.coeffs for h in arr.hyperplanes]
+    ranks = {
+        s: linalg.rank([forms[i] for i in range(arr.n) if s >> i & 1], arr.dim) for s in range(1 << arr.n)
+    }
+    expected = {
+        (r, tuple(i for i in range(arr.n) if ranks[s | 1 << i] == r)) for s, r in ranks.items()
+    }
+    flats = intersection_lattice(arr)
+    assert {(f.rank, f.closed) for f in flats} == expected
+    assert len(flats) == len(expected)
+    for f in flats:
+        red, pivots = linalg.rref([forms[i] for i in f.closed], arr.dim)
+        assert f.equations == tuple(map(tuple, red)) and f.pivots == tuple(pivots)
+        assert f.basis == tuple(linalg.nullspace(f.equations, arr.dim, arr.zeta_order))
 
 
 def test_braid_family_splits() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import sys
@@ -47,6 +48,30 @@ def test_lattice_rank_limit_json(capsys) -> None:
     payload = payload_of(out)
     assert payload["counts"] == {"0": 1, "1": 9}
     assert all(f["rank"] <= 1 for f in payload["flats"])
+
+
+def test_lattice_rejects_a_negative_rank_limit(capsys) -> None:
+    code, out, err = run_cli(capsys, ["lattice", "--spec", "A:2:2:0", "--max-rank", "-1", "--json"])
+    assert code == 1 and out == ""
+    assert "max_rank must be >= 0" in err
+
+
+# sha256 of the --json stdout, taken at the parent commit of the lattice
+# builder that skips covered hyperplanes (the builder before it tried every
+# hyperplane against every flat); the output must not depend on the route
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["lattice", "--spec", "A:3:4:0"], "000738261f6f69b1a42fb5dd0bfb1e9b9b9842320d2a1b9bbe9692de039695ca"),
+        (["lattice", "--spec", "A:2:4:4", "--max-rank", "2"], "2e0c2ff4abe74e3a815fd9d292ffcbf7e8f8d6696b43d8b93c34c97831e68ab5"),
+        (["charpoly", "--spec", "A:3:4:0"], "a334f008617a640e31a49de2c4ea1bf264666cdd0474fd8bb9aa01419bbd6af7"),
+        (["charpoly", "--spec", "A:2:4:4"], "9b65740bd32a61a0c62e52aafc6824bbd66c1379f0340fac25e27b3b720d412a"),
+    ],
+)
+def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
+    code, out, _ = run_cli(capsys, [*argv, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_charpoly_output(capsys) -> None:
