@@ -194,7 +194,8 @@ def intersection_lattice(arr: Arrangement, max_rank: int | None = None) -> tuple
                 extended = linalg.extend_echelon(flat.equations, flat.pivots, arr.hyperplanes[j].coeffs)
                 assert extended is not None, "closed sets must be closed"
                 eqs, pivs = extended
-                if eqs not in seen:
+                cover = seen.get(eqs)
+                if cover is None:
                     closed = tuple(
                         i
                         for i in range(n)
@@ -202,8 +203,8 @@ def intersection_lattice(arr: Arrangement, max_rank: int | None = None) -> tuple
                         or (i not in covered and not any(linalg.reduce_against(arr.hyperplanes[i].coeffs, eqs, pivs)))
                     )
                     basis = tuple(linalg.nullspace(eqs, arr.dim, arr.zeta_order))
-                    seen[eqs] = Flat(closed, rk + 1, eqs, pivs, basis)
-                covered.update(seen[eqs].closed)
+                    cover = seen[eqs] = Flat(closed, rk + 1, eqs, pivs, basis)
+                covered.update(cover.closed)
         layer = sorted(seen.values(), key=lambda f: f.closed)
         flats.extend(layer)
         rk += 1

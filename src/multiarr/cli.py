@@ -65,6 +65,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _budget(text: str) -> int:
+    """A --budget value: a search that may visit no state decides nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_input(args) -> tuple[MultiArrangement, str]:
     """The (multiarrangement, display name) named by --spec/--fixture."""
     if getattr(args, "spec", None):
@@ -454,7 +465,7 @@ def _build_parser() -> _Parser:
             g.add_argument("--spec", metavar="A:r:l:k", help="intermediate arrangement, e.g. A:3:3:0")
             g.add_argument("--fixture", metavar="NAME|PATH|-", help="fixture file, shipped fixture name, or - for stdin")
         if search:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N", help="search state budget")
+            p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, metavar="N", help="search state budget")
         if h0:
             p.add_argument("--h0", required=True, metavar="H", help="hyperplane: label, 1-based position, or H_{i,j}(expr)")
         if ziegler:

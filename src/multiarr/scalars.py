@@ -1,11 +1,19 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_r).
 
-A :class:`Scalar` is an element of Q(zeta_r) stored as a coefficient
-vector over the power basis 1, z, ..., z^(d-1), where z = zeta_r is a
-primitive r-th root of unity and d = deg Phi_r.  All arithmetic is exact
-(``fractions.Fraction`` coefficients, reduction modulo the cyclotomic
-polynomial Phi_r); floating point never enters any computation, it is
-only offered as a diagnostic embedding via :meth:`Scalar.to_complex`.
+A :class:`Scalar` is an element of Q(zeta_r) in the power basis
+1, z, ..., z^(d-1), where z = zeta_r is a primitive r-th root of unity and
+d = deg Phi_r.  It is stored as integer numerators over one shared
+denominator, ``num / den``, in lowest terms: den > 0, gcd(den, *num) == 1,
+and zero is (0, ..., 0) / 1.  So every element has exactly one form, and
+equality and hashing compare integers.
+
+Phi_r is monic with integer coefficients, so sums, products and the
+reduction modulo Phi_r stay in the integers, with one gcd per result.  An
+inverse is the product of the other Galois conjugates over the norm,
+integer too.  ``fractions.Fraction`` appears only at the edges: as input
+coefficients, in the derived :attr:`Scalar.coeffs` and in
+:meth:`Scalar.sort_key`.  Floating point never enters any computation,
+it is only offered as a diagnostic embedding via :meth:`Scalar.to_complex`.
 
 For r = 1 the basis is just {1}, so scalars are plain rationals.
 
@@ -16,14 +24,18 @@ For r = 1 the basis is just {1}, so scalars are plain rationals.
 1
 >>> print(parse_scalar("-z - 2*z^2", 3))
 z + 2
+>>> (z / 2).num, (z / 2).den
+((0, 1), 2)
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
+from typing import NamedTuple
 
 __all__ = [
     "Scalar",
@@ -35,28 +47,6 @@ __all__ = [
     "zero",
     "zeta",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of univariate polynomials (ascending coeffs)."""
-    num = list(num)
-    qdeg = len(num) - len(den)
-    if qdeg < 0:
-        return [], num
-    lead = den[-1]
-    quot = [_ZERO] * (qdeg + 1)
-    for i in range(qdeg, -1, -1):
-        c = num[i + len(den) - 1] / lead
-        quot[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,172 +62,280 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    # x^order - 1 divided by Phi_d for every proper divisor d.
-    num = [_ZERO] * (order + 1)
-    num[0] = Fraction(-1)
-    num[order] = _ONE
-    rem: list[Fraction]
+    # x^order - 1 divided exactly by the monic Phi_d of every proper divisor d.
+    num = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            phi_d = [Fraction(c) for c in cyclotomic_polynomial(d)]
-            num, rem = _poly_divmod(num, phi_d)
-            assert not rem
-    assert all(c.denominator == 1 for c in num)
-    return tuple(int(c) for c in num)
+            phi = cyclotomic_polynomial(d)
+            k = len(phi) - 1
+            quot = [0] * (len(num) - k)
+            for i in range(len(quot) - 1, -1, -1):
+                c = quot[i] = num[i + k]
+                if c:
+                    for j, p in enumerate(phi):
+                        num[i + j] -= c * p
+            assert not any(num[:k])
+            num = quot
+    return tuple(num)
+
+
+class _Field(NamedTuple):
+    """Integer data of Q(zeta_order) for the arithmetic of :class:`Scalar`."""
+
+    order: int
+    degree: int
+    # zeta^m in the power basis, for m = 0, ..., order - 1
+    powers: tuple[tuple[int, ...], ...]
+    # the k in 2, ..., order - 1 prime to order: the Galois maps z -> z^k
+    # other than the identity
+    units: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction_data(order: int) -> tuple[int, tuple[Fraction, ...]]:
-    """Degree of Phi_order and its lower coefficients as Fractions."""
+def _field(order: int) -> _Field:
     phi = cyclotomic_polynomial(order)
     degree = len(phi) - 1
-    return degree, tuple(Fraction(c) for c in phi[:-1])
+    low = phi[:-1]  # Phi_order = x^d + low[d-1] x^(d-1) + ... + low[0]
+    power = [1] + [0] * (degree - 1)
+    powers = []
+    for _ in range(order):
+        powers.append(tuple(power))
+        # multiply by z: shift up, then z^d = -low(z)
+        top = power[-1]
+        power = [0] + power[:-1]
+        if top:
+            power = [a - top * c for a, c in zip(power, low)]
+    units = tuple(k for k in range(2, order) if gcd(k, order) == 1)
+    return _Field(order, degree, tuple(powers), units)
 
 
-def _reduce(order: int, raw: list[Fraction]) -> tuple[Fraction, ...]:
-    degree, low = _reduction_data(order)
-    if len(raw) < degree:
-        raw = raw + [_ZERO] * (degree - len(raw))
-    for i in range(len(raw) - 1, degree - 1, -1):
-        c = raw[i]
+def _ratio(value: int | Fraction) -> tuple[int, int]:
+    """Numerator and positive denominator of a rational operand."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _product(field: _Field, a: tuple[int, ...] | list[int], b: tuple[int, ...] | list[int]) -> list[int]:
+    """Integer numerators of a * b modulo Phi_order."""
+    if field.degree == 1:
+        return [a[0] * b[0]]
+    if field.degree == 2:
+        a0, a1 = a
+        b0, b1 = b
+        p0, p1 = field.powers[2]  # z^2 = p0 + p1 z
+        top = a1 * b1
+        return [a0 * b0 + p0 * top, a0 * b1 + a1 * b0 + p1 * top]
+    d = field.degree
+    raw = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                raw[i + j] += ai * bj
+    out = raw[:d]
+    powers, order = field.powers, field.order
+    for k in range(d, 2 * d - 1):
+        c = raw[k]
         if c:
-            base = i - degree
-            for j in range(degree):
-                if low[j]:
-                    raw[base + j] -= c * low[j]
-    return tuple(raw[:degree])
+            for j, p in enumerate(powers[k % order]):
+                out[j] += c * p
+    return out
 
 
-@dataclass(frozen=True, slots=True)
+def _conjugate(field: _Field, a: tuple[int, ...], k: int) -> list[int]:
+    """Integer numerators of sigma_k(a), where sigma_k(z) = z^k."""
+    out = [0] * field.degree
+    powers, order = field.powers, field.order
+    for j, aj in enumerate(a):
+        if aj:
+            for i, p in enumerate(powers[j * k % order]):
+                out[i] += aj * p
+    return out
+
+
+_new = object.__new__
+
+
+def _make(order: int, num: tuple[int, ...] | list[int], den: int) -> Scalar:
+    """The Scalar num / den (den > 0), brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    s = _new(Scalar)
+    s._order = order
+    s._num = tuple(num)
+    s._den = den
+    return s
+
+
 class Scalar:
     """An element of Q(zeta_order), reduced modulo Phi_order.
 
-    ``coeffs[j]`` is the coefficient of zeta^j; the tuple always has
-    length deg Phi_order.  Instances are immutable and hashable, and two
-    scalars are equal iff they have the same order and coefficients
-    (operations between different orders are rejected, they are elements
-    of different fields).
+    ``num[j] / den`` is the coefficient of zeta^j; ``num`` always has
+    length deg Phi_order.  The form is canonical: den > 0,
+    gcd(den, *num) == 1, and zero is (0, ..., 0) / 1.  Instances are
+    immutable and hashable, and two scalars are equal iff they have the
+    same order, numerators and denominator (operations between different
+    orders are rejected, they are elements of different fields).
+
+    ``Scalar(order, coeffs)`` takes int or Fraction coefficients;
+    :attr:`coeffs` gives them back as Fractions.
+
+    >>> x = Scalar(3, (Fraction(1, 2), Fraction(-3, 4)))
+    >>> x.num, x.den
+    ((2, -3), 4)
+    >>> x.coeffs
+    (Fraction(1, 2), Fraction(-3, 4))
     """
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("_order", "_num", "_den")
+
+    def __init__(self, order: int, coeffs: tuple[int | Fraction, ...] | list[int | Fraction]) -> None:
+        degree = _field(order).degree
+        ratios = [_ratio(c) for c in coeffs]
+        if len(ratios) != degree:
+            raise ValueError(f"Q(zeta_{order}) needs {degree} coefficients, got {len(ratios)}")
+        # over the lcm of reduced denominators, gcd(den, *num) is already 1
+        den = lcm(*(d for _, d in ratios))
+        self._order = order
+        self._num = tuple(n * (den // d) for n, d in ratios)
+        self._den = den
+
+    @property
+    def order(self) -> int:
+        return self._order
+
+    @property
+    def num(self) -> tuple[int, ...]:
+        return self._num
+
+    @property
+    def den(self) -> int:
+        return self._den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[j]`` is the coefficient of zeta^j, as a Fraction."""
+        return tuple(Fraction(a, self._den) for a in self._num)
 
     def _check(self, other: Scalar) -> None:
-        if self.order != other.order:
-            raise ValueError(f"mixed scalar orders: {self.order} and {other.order}")
+        if self._order != other._order:
+            raise ValueError(f"mixed scalar orders: {self._order} and {other._order}")
 
     @staticmethod
     def of(value: int | Fraction, order: int) -> Scalar:
-        degree, _ = _reduction_data(order)
-        coeffs = (Fraction(value),) + (_ZERO,) * (degree - 1)
-        return Scalar(order, coeffs)
+        n, d = _ratio(value)
+        return _make(order, (n,) + (0,) * (_field(order).degree - 1), d)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return self._num == other._num and self._den == other._den and self._order == other._order
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def __add__(self, other: Scalar | int | Fraction) -> Scalar:
         if not isinstance(other, Scalar):
-            other = Scalar.of(other, self.order)
+            other = Scalar.of(other, self._order)
         self._check(other)
-        return Scalar(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self._den, other._den
+        if da == db:
+            return _make(self._order, list(map(add, self._num, other._num)), da)
+        return _make(self._order, [a * db + b * da for a, b in zip(self._num, other._num)], da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar | int | Fraction) -> Scalar:
         if not isinstance(other, Scalar):
-            other = Scalar.of(other, self.order)
+            other = Scalar.of(other, self._order)
         self._check(other)
-        return Scalar(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self._den, other._den
+        if da == db:
+            return _make(self._order, list(map(sub, self._num, other._num)), da)
+        return _make(self._order, [a * db - b * da for a, b in zip(self._num, other._num)], da * db)
 
     def __rsub__(self, other: int | Fraction) -> Scalar:
-        return Scalar.of(other, self.order) - self
+        return Scalar.of(other, self._order) - self
 
     def __neg__(self) -> Scalar:
-        return Scalar(self.order, tuple(-a for a in self.coeffs))
+        return _make(self._order, list(map(neg, self._num)), self._den)
 
     def __mul__(self, other: Scalar | int | Fraction) -> Scalar:
         if not isinstance(other, Scalar):
-            q = Fraction(other)
-            return Scalar(self.order, tuple(a * q for a in self.coeffs))
+            n, d = _ratio(other)
+            return _make(self._order, [a * n for a in self._num], self._den * d)
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        raw = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        raw[i + j] += ai * bj
-        return Scalar(self.order, _reduce(self.order, raw))
+        return _make(self._order, _product(_field(self._order), self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> Scalar:
-        """Multiplicative inverse via the extended Euclidean algorithm.
+        """Multiplicative inverse: the other Galois conjugates over the norm.
 
         Phi_order is irreducible over Q, so every nonzero residue is a
-        unit.
+        unit.  With sigma_k(z) = z^k for the k prime to the order,
+        N(a) = prod_k sigma_k(a) is a nonzero rational, and
+        a^-1 = prod_{k != 1} sigma_k(a) / N(a).  All of it runs on the
+        integer numerators.
+
+        >>> print(zeta(5).inverse())
+        -z^3 - z^2 - z - 1
         """
-        if self.is_zero():
+        a = self._num
+        if not any(a):
             raise ZeroDivisionError("scalar inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # Extended Euclid on (Phi, self); track only the self-cofactor t:
-        # invariant r_i = (...) * Phi + t_i * self.
-        r0, r1 = phi, list(self.coeffs)
-        while r1 and not r1[-1]:
-            r1.pop()
-        t0: list[Fraction] = []
-        t1: list[Fraction] = [_ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            prod = [_ZERO] * (len(q) + len(t1) - 1) if q and t1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, tj in enumerate(t1):
-                        if tj:
-                            prod[i + j] += qi * tj
-            width = max(len(t0), len(prod))
-            t_new = [(t0[i] if i < len(t0) else _ZERO) - (prod[i] if i < len(prod) else _ZERO) for i in range(width)]
-            while t_new and not t_new[-1]:
-                t_new.pop()
-            r0, r1 = r1, r
-            t0, t1 = t1, t_new
-        # Phi_r is irreducible and deg(self) < deg(Phi_r), so the gcd is a
-        # nonzero constant.
-        assert r1, "gcd with the irreducible Phi_r cannot vanish"
-        c = r1[0]
-        inv = [ti / c for ti in t1]
-        return Scalar(self.order, _reduce(self.order, inv))
+        field = _field(self._order)
+        adj: tuple[int, ...] | list[int] = (1,)
+        if field.units:
+            adj = _conjugate(field, a, field.units[0])
+            for k in field.units[1:]:
+                adj = _product(field, adj, _conjugate(field, a, k))
+        norm = _product(field, a, adj)
+        assert not any(norm[1:]), "the norm of a cyclotomic integer is rational"
+        n = norm[0]
+        if n < 0:
+            n = -n
+            adj = [-c for c in adj]
+        return _make(self._order, [self._den * c for c in adj], n)
 
     def __truediv__(self, other: Scalar | int | Fraction) -> Scalar:
         if not isinstance(other, Scalar):
-            q = Fraction(other)
-            if not q:
+            n, d = _ratio(other)
+            if not n:
                 raise ZeroDivisionError("scalar division by zero")
-            return Scalar(self.order, tuple(a / q for a in self.coeffs))
+            if n < 0:
+                n, d = -n, -d
+            return _make(self._order, [a * d for a in self._num], self._den * n)
         self._check(other)
         return self * other.inverse()
 
     def __rtruediv__(self, other: int | Fraction) -> Scalar:
-        return Scalar.of(other, self.order) / self
+        return Scalar.of(other, self._order) / self
 
     def __pow__(self, exponent: int) -> Scalar:
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = one(self.order)
+        result = one(self._order)
         base = self
         k = exponent
         while k:
@@ -253,13 +351,14 @@ class Scalar:
 
     def to_complex(self) -> complex:
         """Numeric embedding (diagnostics only, never used in math paths)."""
-        root = cmath.exp(2j * cmath.pi / self.order)
+        root = cmath.exp(2j * cmath.pi / self._order)
         return sum((complex(c) * root**j for j, c in enumerate(self.coeffs)), 0j)
 
     def __str__(self) -> str:
+        coeffs = self.coeffs
         terms: list[str] = []
-        for p in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[p]
+        for p in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[p]
             if not c:
                 continue
             mag = abs(c)
@@ -275,7 +374,7 @@ class Scalar:
         return "".join(terms) if terms else "0"
 
     def __repr__(self) -> str:
-        return f"Scalar({self.order}, {self})"
+        return f"Scalar({self._order}, {self})"
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,9 +398,7 @@ def zeta(order: int, power: int = 1) -> Scalar:
     """
     if power < 0:
         raise ValueError("power must be >= 0")
-    raw = [_ZERO] * (power + 1)
-    raw[power] = _ONE
-    return Scalar(order, _reduce(order, raw))
+    return _make(order, _field(order).powers[power % order], 1)
 
 
 def rational(value: int | Fraction, order: int = 1) -> Scalar:

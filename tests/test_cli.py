@@ -74,6 +74,31 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the --json stdout, taken at the parent commit of the integer
+# numerator Scalars (which kept Fraction coefficients); A:5:3:0 runs over
+# the degree-4 field Q(zeta_5)
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["indfree", "--fixture", "g33_a2_kappa"], "239bf18c475ac91f74945d845ceee489d4320b860a7ed673f5f0a63bda69cc61"),
+        (
+            ["indfree", "--spec", "A:3:4:2", "--ziegler", "H_{1,2}(1)"],
+            "0bcdedd5132450e3857b932c704da8137a7dd005dda9cfa939bb3b15aea02a73",
+        ),
+        (
+            ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 9 11"],
+            "17da801dcd0f65f08188b24c895d5098802f1c8bdc836a7fcb4086c405e42c55",
+        ),
+        (["table", "--shipped-table", "g33_a2_kappa"], "2cb9858fd69d57b8d05c6a9f049efa351ddebfe7325f5dc6a1d13b297c6d7f3a"),
+        (["charpoly", "--spec", "A:5:3:0"], "c58d94016b3adca5dde2340f0ebb9860c830e45b9a5f2adf369ad2edc680357d"),
+    ],
+)
+def test_scalar_json_bytes_are_pinned(capsys, argv, digest) -> None:
+    code, out, _ = run_cli(capsys, [*argv, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_charpoly_output(capsys) -> None:
     code, out, _ = run_cli(capsys, ["charpoly", "--spec", "A:3:3:0"])
     assert code == 0
@@ -104,6 +129,21 @@ def test_budget_exit_code(capsys) -> None:
     code, out, _ = run_cli(capsys, ["indfree", "--spec", "A:3:3:0", "--budget", "1"])
     assert code == 3
     assert "undecided within the budget" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["indfree", "--spec", "A:2:3:0", "--budget", "0"],
+        ["hereditary", "--spec", "A:2:3:0", "--budget", "-1"],
+        ["table", "--spec", "A:2:3:0", "--budget", "0"],
+        ["refute", "--fixture", "g33_a2_kappa", "--exponents", "8 8 11", "--budget", "-5"],
+    ],
+)
+def test_budget_below_one_is_a_usage_error(capsys, argv) -> None:
+    code, out, err = run_cli(capsys, [*argv, "--json"])
+    assert code == 1 and out == ""
+    assert "--budget: must be >= 1" in err
 
 
 def test_usage_errors_exit_one(capsys) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from multiarr.scalars import (
     zeta,
 )
 
-ORDERS = (1, 3, 4)
+ORDERS = (1, 3, 4, 5)
+# every field of degree <= 4, plus Q(zeta_7) of degree 6
+ORACLE_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 12)
 
 
 def scalars(order: int, *, nonzero: bool = False, bound: int = 9) -> st.SearchStrategy[Scalar]:
@@ -42,6 +45,10 @@ def test_cyclotomic_polynomials() -> None:
     assert cyclotomic_polynomial(3) == (1, 1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
+    assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
+    assert cyclotomic_polynomial(7) == (1, 1, 1, 1, 1, 1, 1)
+    assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     with pytest.raises(ValueError):
         cyclotomic_polynomial(0)
 
@@ -177,3 +184,96 @@ def test_sort_key_is_a_total_order(data) -> None:
     _, a, b = data
     assert (a.sort_key() == b.sort_key()) == (a == b)
     assert a.sort_key() < b.sort_key() or b.sort_key() <= a.sort_key()
+
+
+# A reference model of Q(zeta_r) on Fraction coefficient tuples: schoolbook
+# products reduced modulo Phi_r, and inverses by the extended Euclidean
+# algorithm over Q[x].
+
+
+def _trim(p: list[Fraction]) -> list[Fraction]:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _ref_reduce(order: int, raw: list[Fraction]) -> tuple[Fraction, ...]:
+    phi = cyclotomic_polynomial(order)
+    d = len(phi) - 1
+    raw = list(raw) + [Fraction(0)] * max(0, d - len(raw))
+    for i in range(len(raw) - 1, d - 1, -1):
+        c = raw[i]
+        for j, p in enumerate(phi):
+            raw[i - d + j] -= c * p
+    return tuple(raw[:d])
+
+
+def _ref_mul(order: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    raw = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            raw[i + j] += x * y
+    return _ref_reduce(order, raw)
+
+
+def _ref_inverse(order: int, a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    # invariant: r_i = t_i * a mod Phi_r
+    r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(order)], _trim(list(a))
+    t0: list[Fraction] = []
+    t1 = [Fraction(1)]
+    while len(r1) > 1:
+        rem, quot = list(r0), [Fraction(0)] * (len(r0) - len(r1) + 1)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = rem[i + len(r1) - 1] / r1[-1]
+            for j, b in enumerate(r1):
+                rem[i + j] -= c * b
+        prod = [Fraction(0)] * (len(quot) + len(t1) - 1)
+        for i, q in enumerate(quot):
+            for j, t in enumerate(t1):
+                prod[i + j] += q * t
+        width = max(len(t0), len(prod))
+        t_new = [(t0[i] if i < len(t0) else 0) - (prod[i] if i < len(prod) else 0) for i in range(width)]
+        r0, r1, t0, t1 = r1, _trim(rem), t1, _trim(t_new)
+    return _ref_reduce(order, [t / r1[0] for t in t1])
+
+
+def _agrees(got: Scalar, order: int, want: tuple[Fraction, ...]) -> None:
+    """``got`` is the reference value ``want``, in the canonical form."""
+    assert got.order == order
+    assert got.coeffs == want
+    assert got.sort_key() == want
+    rebuilt = Scalar(order, want)
+    assert str(got) == str(rebuilt)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+    assert len(got.num) == len(want) and got.den > 0
+    assert gcd(got.den, *got.num) == 1
+    assert all(Fraction(n, got.den) == c for n, c in zip(got.num, want))
+    if not any(want):
+        assert got.num == (0,) * len(want) and got.den == 1
+
+
+@given(
+    st.sampled_from(ORACLE_ORDERS).flatmap(lambda r: st.tuples(st.just(r), scalars(r), scalars(r))),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+def test_arithmetic_matches_the_fraction_reference(data, q) -> None:
+    order, x, y = data
+    a, b = x.coeffs, y.coeffs
+    _agrees(x + y, order, tuple(s + t for s, t in zip(a, b)))
+    _agrees(x - y, order, tuple(s - t for s, t in zip(a, b)))
+    _agrees(-x, order, tuple(-s for s in a))
+    _agrees(x * y, order, _ref_mul(order, a, b))
+    _agrees(x * q, order, tuple(s * q for s in a))
+    _agrees(q + x, order, (a[0] + q,) + a[1:])
+    _agrees(x - q, order, (a[0] - q,) + a[1:])
+    assert (x == y) == (a == b)
+    if x == y:
+        assert hash(x) == hash(y)
+    if q:
+        _agrees(x / q, order, tuple(s / q for s in a))
+    if y:
+        inv = _ref_inverse(order, b)
+        _agrees(y.inverse(), order, inv)
+        _agrees(x / y, order, _ref_mul(order, a, inv))
+        assert (y * y.inverse()).is_one()
+        assert y * y.inverse() == one(order)
