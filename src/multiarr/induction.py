@@ -14,6 +14,10 @@ restriction instead of a blind recursive subtree.  Candidates at each
 state are ordered by descending multiplicity deficit (ties: lighter
 target first, then index), and a memo keyed by the canonical (forms,
 multiplicities) content makes verdicts independent of the call path.
+The content key of a form is its coefficients as integer (numerators,
+denominator) pairs, which is exact because scalars are stored in
+lowest terms, and equal for equal forms of different arrangements, so
+restrictions searched in their own contexts share the memo too.
 The memo belongs to a :class:`Session`: calls that share a session
 share their verdicts, and a call without one starts a fresh session, so
 its node count depends only on its input.
@@ -33,6 +37,7 @@ it is not additively free (and in particular not inductively free).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Callable
@@ -50,7 +55,14 @@ from .arrangement import (
     restriction,
     simple_multi,
 )
-from .rank2 import canonical_plane, common_value, euler_value_shortcut, plane_coordinates, plane_exponent_pair
+from .rank2 import (
+    canonical_plane,
+    common_value,
+    euler_value_shortcut,
+    localization_lines,
+    plane_coordinates,
+    plane_exponent_pair,
+)
 from .scalars import Scalar
 
 __all__ = [
@@ -112,7 +124,7 @@ def _padded(values: tuple[int, ...] | list[int], size: int) -> tuple[int, ...]:
 class _Pattern:
     """Restriction data of the full parent arrangement at one hyperplane."""
 
-    __slots__ = ("h0", "res_arr", "groups", "h0_lines", "member_lines", "restricted_keys")
+    __slots__ = ("h0", "res_arr", "groups", "planes")
 
     def __init__(self, ctx: _Context, h0: int) -> None:
         arr = ctx.arr
@@ -124,16 +136,9 @@ class _Pattern:
             if target is not None:
                 groups[target].append(parent)
         self.groups = tuple(tuple(g) for g in groups)
-        # plane coordinates of each rank-2 localization {group + h0}
-        self.h0_lines: list[tuple[Scalar, Scalar]] = []
-        self.member_lines: list[dict[int, tuple[Scalar, Scalar]]] = []
-        h0_form = arr.hyperplanes[h0]
-        for members in self.groups:
-            rows = [arr.hyperplanes[p].coeffs for p in members] + [h0_form.coeffs]
-            *lines, h0_line = plane_coordinates(rows, arr.dim, arr.zeta_order)
-            self.h0_lines.append(h0_line)
-            self.member_lines.append(dict(zip(members, lines)))
-        self.restricted_keys = tuple(f.sort_key() for f in res.arrangement.hyperplanes)
+        # per rank-2 localization {group + h0}: its (line, index) pairs in
+        # canonical order, and the position of h0 among them
+        self.planes = tuple(localization_lines(arr, members, h0) for members in self.groups)
 
 
 class _Context:
@@ -144,7 +149,9 @@ class _Context:
         self.n = arr.n
         self.dim = arr.dim
         self.order = arr.zeta_order
-        self.form_keys = tuple(f.sort_key() for f in arr.hyperplanes)
+        # integer content key of each form; Scalars are canonical, so it is
+        # injective and equal across contexts of equal content
+        self.form_keys = tuple(tuple((c.num, c.den) for c in f.coeffs) for f in arr.hyperplanes)
         self.index_of_key = {k: i for i, k in enumerate(self.form_keys)}
         # the form keys are distinct, so one sort orders every state key
         order = sorted(range(self.n), key=self.form_keys.__getitem__)
@@ -157,6 +164,16 @@ class _Context:
     def state_key(self, state: tuple[int, ...]) -> tuple:
         content = tuple((k, state[i]) for i, k in self._key_order if state[i])
         return (self.dim, self.order, content)
+
+    @functools.cached_property
+    def sort_key_order(self) -> tuple[tuple[int, tuple], ...]:
+        """(index, ``sort_key()``) of each form, in sort-key order.
+
+        Only the refuter's dead-end digests use it, so it is built at
+        the first dead end.
+        """
+        keys = [f.sort_key() for f in self.arr.hyperplanes]
+        return tuple(sorted(enumerate(keys), key=lambda p: p[1]))
 
     def support(self, state: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(state) if m)
@@ -191,9 +208,8 @@ class _Context:
                 mults = tuple(m for _, m in active)
                 value = euler_value_shortcut(m0, mults)
                 if value is None:
-                    lines = pat.member_lines[gid]
-                    others = tuple((lines[p], m) for p, m in active)
-                    value = common_value(pat.h0_lines[gid], m0, others, self.order)
+                    lines, at = pat.planes[gid]
+                    value = common_value(tuple((line, state[p]) for line, p in lines), at, self.order)
                 self._euler_values[key] = value
             out.append((gid, value))
         return out
@@ -201,14 +217,14 @@ class _Context:
     def restriction_size(self, state: tuple[int, ...], h0: int) -> int:
         return sum(v for _, v in self.euler_values(state, h0))
 
-    def restricted_plane(self, h0: int, gids: tuple[int, ...]) -> dict[int, tuple[Scalar, Scalar]]:
-        """2D coordinates for a rank-2 set of restricted hyperplanes."""
+    def restricted_plane(self, h0: int, gids: tuple[int, ...]) -> tuple[tuple[tuple[Scalar, Scalar], int], ...]:
+        """(line, gid) pairs of a rank-2 set of restricted hyperplanes, in canonical order."""
         key = (h0, gids)
         cached = self._restr_planes.get(key)
         if cached is None:
             res_arr = self.pattern(h0).res_arr
             rows = [res_arr.hyperplanes[g].coeffs for g in gids]
-            cached = dict(zip(gids, plane_coordinates(rows, res_arr.dim, self.order)))
+            cached = canonical_plane(zip(plane_coordinates(rows, res_arr.dim, self.order), gids))
             self._restr_planes[key] = cached
         return cached
 
@@ -288,8 +304,8 @@ class _Engine:
             return "yes", _padded((0, values[0][1]), sub_dim)
         restricted_rank = ctx.rank(ctx.support(state)) - 1
         if restricted_rank <= 2:
-            coords = ctx.restricted_plane(h0, gids)
-            plane = canonical_plane((coords[g], v) for g, v in values)
+            value_of = dict(values)
+            plane = tuple((line, value_of[g]) for line, g in ctx.restricted_plane(h0, gids))
             pair = plane_exponent_pair(plane, ctx.order)
             return "yes", _padded(pair, sub_dim)
         # genuine recursion: the restriction still has rank >= 3
@@ -570,8 +586,14 @@ class _RefuterFrame:
     child: tuple[int, tuple] | None = None  # (deleted index, memo key) being explored
 
 
-def _digest(key: tuple, virtual: tuple[int, ...]) -> str:
-    text = repr((key, virtual)).encode()
+def _digest(ctx: _Context, state: tuple[int, ...], virtual: tuple[int, ...]) -> str:
+    """Hash of a dead end: its content keyed and sorted by ``sort_key()``.
+
+    The text is that of the original Fraction-keyed state keys, so the
+    digests stay comparable across versions; it is built only here.
+    """
+    content = tuple((k, state[i]) for i, k in ctx.sort_key_order if state[i])
+    text = repr(((ctx.dim, ctx.order, content), virtual)).encode()
     return hashlib.sha256(text).hexdigest()[:16]
 
 
@@ -595,6 +617,8 @@ def additive_refuter(
     verdict is order-independent, the particular chain found is not.
     """
     exps = tuple(sorted(exponents))
+    if exps and exps[0] < 0:
+        raise ValueError(f"exponents must be >= 0, got {exps[0]}")
     if sum(exps) != m.total:
         raise ValueError(f"exponents sum to {sum(exps)}, |mu| is {m.total}")
     if len(exps) != m.arrangement.dim:
@@ -655,7 +679,7 @@ def additive_refuter(
                 if not frame.admissible:
                     dead_ends += 1
                     if len(digests) < _DIGEST_CAP:
-                        digests.append(_digest(ctx.state_key(state), virtual))
+                        digests.append(_digest(ctx, state, virtual))
                     else:
                         truncated = True
                 stack.pop()

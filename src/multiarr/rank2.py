@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import linalg
-from .arrangement import MultiArrangement, hyperplane_flat, restriction
+from .arrangement import Arrangement, MultiArrangement, hyperplane_flat, restriction
 from .scalars import Scalar, one, zero
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "euler_multiplicity",
     "euler_value_shortcut",
     "is_saito_basis",
+    "localization_lines",
     "plane_coordinates",
     "plane_exponent_pair",
     "plane_exponents",
@@ -95,8 +96,26 @@ def plane_coordinates(rows: Sequence[Sequence[Scalar]], dim: int, order: int) ->
 
 
 def canonical_plane(lines: Iterable[tuple[tuple[Scalar, Scalar], int]]) -> Plane:
-    """A plane system in canonical line order: coordinates, then multiplicity."""
+    """A plane system in canonical line order: coordinates, then multiplicity.
+
+    The lines of one plane are distinct, so the coordinates alone decide
+    the order: the second slot may carry any int, such as a hyperplane
+    index, and the order found is then valid for every multiplicity.
+    """
     return tuple(sorted(lines, key=lambda p: (tuple(c.sort_key() for c in p[0]), p[1])))
+
+
+def localization_lines(arr: Arrangement, members: Sequence[int], h0: int) -> tuple[Plane, int]:
+    """The rank-2 localization spanned by hyperplane h0 and ``members``.
+
+    Returns its lines in canonical order, each paired with its
+    hyperplane index instead of a multiplicity, and the position of h0
+    among them.
+    """
+    indices = (*members, h0)
+    rows = [arr.hyperplanes[p].coeffs for p in indices]
+    lines = canonical_plane(zip(plane_coordinates(rows, arr.dim, arr.zeta_order), indices))
+    return lines, [p for _, p in lines].index(h0)
 
 
 def reduce_to_plane(m: MultiArrangement) -> Plane:
@@ -432,26 +451,34 @@ def euler_value_shortcut(m0: int, others: tuple[int, ...]) -> int | None:
     return None
 
 
-def _pair_for(lines: Plane, order: int) -> tuple[int, int]:
-    """Exponent pair of a plane system that may have rank < 2."""
-    active = tuple((l, m) for l, m in lines if m > 0)
+def _pair_for(plane: Plane, order: int) -> tuple[int, int]:
+    """Exponent pair of a canonical plane system that may have rank < 2.
+
+    Zero multiplicities are dropped; the lines of a plane are distinct,
+    so what is left is still in canonical order.
+    """
+    active = tuple((l, m) for l, m in plane if m > 0)
     if not active:
         return (0, 0)
     if len(active) == 1:
         return (0, active[0][1])
-    return plane_exponent_pair(canonical_plane(active), order)
+    return plane_exponent_pair(active, order)
 
 
-def common_value(h0_line: tuple[Scalar, Scalar], m0: int, others: Plane, order: int) -> int:
+def common_value(plane: Plane, h0: int, order: int) -> int:
     """mu*(Y) by the common-value rule, everything in plane coordinates.
 
-    The unique common nonzero exponent of (A_Y, mu_Y) and of its
-    deletion at the distinguished line; its existence and uniqueness is
-    a theorem, so a violation signals corrupted input (or a bug) and
-    raises rather than guessing.
+    ``plane`` holds the lines of the localization (A_Y, mu_Y) in
+    canonical order (:func:`canonical_plane`), zero multiplicities
+    allowed, and ``plane[h0]`` is the distinguished line.  The value is
+    the unique common nonzero exponent of (A_Y, mu_Y) and of its
+    deletion at that line; its existence and uniqueness is a theorem,
+    so a violation signals corrupted input (or a bug) and raises rather
+    than guessing.
     """
-    full = _pair_for(others + ((h0_line, m0),), order)
-    deleted = _pair_for(others + ((h0_line, m0 - 1),), order)
+    line, m0 = plane[h0]
+    full = _pair_for(plane, order)
+    deleted = _pair_for(plane[:h0] + ((line, m0 - 1),) + plane[h0 + 1 :], order)
     s1 = {e for e in full if e}
     s2 = {e for e in deleted if e}
     shared = s1 & s2
@@ -475,15 +502,10 @@ def euler_multiplicity(m: MultiArrangement, h0: int) -> MultiArrangement:
         if target is not None:
             groups[target].append(parent)
     values: list[int] = []
-    m0 = m.mult[h0]
-    h0_form = arr.hyperplanes[h0]
     for members in groups:
-        other_mults = tuple(m.mult[p] for p in members)
-        value = euler_value_shortcut(m0, other_mults)
+        value = euler_value_shortcut(m.mult[h0], tuple(m.mult[p] for p in members))
         if value is None:
-            # localize at the rank-2 flat spanned by h0 and the group
-            rows = [arr.hyperplanes[p].coeffs for p in members] + [h0_form.coeffs]
-            *lines, h0_line = plane_coordinates(rows, arr.dim, arr.zeta_order)
-            value = common_value(h0_line, m0, tuple(zip(lines, other_mults)), arr.zeta_order)
+            lines, at = localization_lines(arr, members, h0)
+            value = common_value(tuple((line, m.mult[p]) for line, p in lines), at, arr.zeta_order)
         values.append(value)
     return MultiArrangement(res.arrangement, tuple(values))

@@ -12,8 +12,12 @@ reduction modulo Phi_r stay in the integers, with one gcd per result.  An
 inverse is the product of the other Galois conjugates over the norm,
 integer too.  ``fractions.Fraction`` appears only at the edges: as input
 coefficients, in the derived :attr:`Scalar.coeffs` and in
-:meth:`Scalar.sort_key`.  Floating point never enters any computation,
-it is only offered as a diagnostic embedding via :meth:`Scalar.to_complex`.
+:meth:`Scalar.sort_key`.  The sort key orders the lines of a plane once
+per plane built (``rank2.canonical_plane``), sorts content keys such as
+``MultiArrangement.key`` and the refuter's dead-end digests, whose text
+it fixes; search memo keys use the integer ``num`` and ``den`` instead.
+Floating point never enters any computation, it is only offered as a
+diagnostic embedding via :meth:`Scalar.to_complex`.
 
 For r = 1 the basis is just {1}, so scalars are plain rationals.
 

@@ -296,16 +296,14 @@ def _check_euler_consistency() -> tuple[bool, str]:
             if flat.rank != 2:
                 continue
             loc = localize_multi(m, flat)
-            plane = reduce_to_plane(loc)
-            key = canonical_plane(plane)
-            if key in seen:
+            plane = canonical_plane(reduce_to_plane(loc))
+            if plane in seen:
                 continue
-            seen.add(key)
+            seen.add(plane)
             localizations += 1
-            for j, (line, m0) in enumerate(plane):
-                others = tuple(plane[i] for i in range(len(plane)) if i != j)
-                full = common_value(line, m0, others, arr.zeta_order)
-                short = euler_value_shortcut(m0, tuple(mu for _, mu in others))
+            for j, (_, m0) in enumerate(plane):
+                full = common_value(plane, j, arr.zeta_order)
+                short = euler_value_shortcut(m0, tuple(mu for i, (_, mu) in enumerate(plane) if i != j))
                 if short is not None:
                     shortcut_hits += 1
                     if short != full:

@@ -91,12 +91,26 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
         ),
         (["table", "--shipped-table", "g33_a2_kappa"], "2cb9858fd69d57b8d05c6a9f049efa351ddebfe7325f5dc6a1d13b297c6d7f3a"),
         (["charpoly", "--spec", "A:5:3:0"], "c58d94016b3adca5dde2340f0ebb9860c830e45b9a5f2adf369ad2edc680357d"),
+        # taken at the parent commit of the integer memo keys: A:2:4:4 has
+        # rank 4, so its search shares memo keys across contexts, and
+        # hereditary runs 14 checks on one session
+        (["indfree", "--spec", "A:2:4:4"], "e661d32e19ec65abb73274cc0e88af28eb340705e9a875e7daf299c55d6d8e86"),
+        (["hereditary", "--spec", "A:2:3:0"], "a079a3be864485aa92a26fd289f0fe34b82d59fe2e001686304dbb6259c417c0"),
     ],
 )
 def test_scalar_json_bytes_are_pinned(capsys, argv, digest) -> None:
     code, out, _ = run_cli(capsys, [*argv, "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_refute_rejects_a_negative_exponent(capsys) -> None:
+    argv = ["refute", "--fixture", "g33_a2_kappa", "--json", "--exponents"]
+    code, out, err = run_cli(capsys, [*argv, "-1 12 16"])
+    assert code == 1 and out == ""
+    assert "exponents must be >= 0" in err
+    code, out, _ = run_cli(capsys, [*argv, "0 0 27"])
+    assert code == 2 and '"verdict":"refuted"' in out
 
 
 def test_charpoly_output(capsys) -> None:

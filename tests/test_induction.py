@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+import random
 
 import pytest
 
-from multiarr.arrangement import simple_multi, ziegler_multiplicity
+from multiarr.arrangement import arrangement, simple_multi, ziegler_multiplicity
 from multiarr.catalog import intermediate, parse_fixture, parse_spec_string, shipped_fixture
 from multiarr.induction import (
     Session,
@@ -19,6 +21,7 @@ from multiarr.induction import (
     replay_addition_rows,
     table_rows,
 )
+from multiarr.rank2 import canonical_plane
 
 
 def spec_simple(text: str):
@@ -61,6 +64,71 @@ def test_memo_makes_repeats_free() -> None:
     cold = [is_inductively_free(spec_simple("A:2:3:0")) for _ in range(2)]
     assert [rep.nodes for rep in cold] == [first.nodes, first.nodes]
     assert cold[0].steps == cold[1].steps == first.steps
+
+
+def a342_kappa():
+    arr = intermediate(parse_spec_string("A:3:4:2"))
+    return ziegler_multiplicity(arr, arr.index_of_label("H_{1,2}(1)"))
+
+
+def int_leaves(key) -> bool:
+    """Whether a nested tuple holds plain ints and nothing else."""
+    if isinstance(key, tuple):
+        return all(int_leaves(k) for k in key)
+    return type(key) is int
+
+
+@pytest.mark.parametrize("make", [lambda: shipped_fixture("g33_a2_kappa"), a342_kappa], ids=["g33_a2_kappa", "A:3:4:2"])
+def test_once_sorted_planes_are_canonical(make) -> None:
+    m = make()
+    session = Session()
+    assert is_inductively_free(m, session=session).verdict == "yes"
+    ctx = session.context(m.arrangement)
+    rng = random.Random(6)
+    planes = []
+    for h0 in range(ctx.n):
+        pat = ctx.pattern(h0)
+        for lines, at in pat.planes:
+            assert lines[at][1] == h0
+            planes.append(lines)
+    assert ctx._restr_planes
+    planes.extend(ctx._restr_planes.values())
+    for lines in planes:
+        for _ in range(3):
+            mults = [rng.randint(0, 3) for _ in lines]
+            stored = tuple((line, mu) for (line, _), mu in zip(lines, mults) if mu)
+            shuffled = list(stored)
+            rng.shuffle(shuffled)
+            assert stored == canonical_plane(shuffled)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: shipped_fixture("g33_a2_kappa"), lambda: spec_simple("A:2:4:4")], ids=["g33_a2_kappa", "A:2:4:4"]
+)
+def test_memo_keys_are_integer_content(make) -> None:
+    m = make()
+    session = Session()
+    assert is_inductively_free(m, session=session).verdict == "yes"
+    if m.arrangement.dim == 4:
+        # rank 4: the restrictions are searched in contexts of their own
+        assert len(session._contexts) > 1
+    preds = [pred for _, pred in session.yes.values() if pred is not None]
+    assert preds and session.yes
+    assert all(int_leaves(key) for key in [*session.yes, *session.no, *preds])
+
+
+def test_state_keys_follow_content_not_order() -> None:
+    arr = shipped_fixture("g33_a2_kappa").arrangement
+    perm = list(range(arr.n))
+    random.Random(6).shuffle(perm)
+    permuted = arrangement(arr.dim, arr.zeta_order, [arr.hyperplanes[i] for i in perm], [arr.labels[i] for i in perm])
+    session = Session()
+    ctx, pctx = session.context(arr), session.context(permuted)
+    box = list(itertools.product(range(2), repeat=arr.n))
+    keys = {ctx.state_key(x) for x in box}
+    assert len(keys) == len(box)
+    for x in box[::97]:
+        assert pctx.state_key(tuple(x[i] for i in perm)) == ctx.state_key(x)
 
 
 def test_g333_is_exhaustively_negative() -> None:
@@ -187,6 +255,9 @@ def test_refuter_validates_the_exponents() -> None:
         additive_refuter(kappa, (7, 9, 12))
     with pytest.raises(ValueError, match="per ambient dimension"):
         additive_refuter(kappa, (13, 14))
+    with pytest.raises(ValueError, match="must be >= 0, got -1"):
+        additive_refuter(kappa, (-1, 12, 16))
+    assert additive_refuter(kappa, (0, 0, 27)).verdict == "refuted"
 
 
 def test_refuter_walks_chains_deeper_than_the_recursion_limit() -> None:

@@ -24,6 +24,7 @@ from multiarr.rank2 import (
     Rank2Derivation,
     Rank2Result,
     _order_basis,
+    canonical_plane,
     common_value,
     derivation_satisfies,
     euler_multiplicity,
@@ -113,7 +114,8 @@ def test_rejects_degenerate_systems() -> None:
 def test_shortcut_euler_values_match_the_common_value(others, m0) -> None:
     h0 = line(Fraction(9))  # steeper than any generated slope, so always new
     short = euler_value_shortcut(m0, tuple(m for _, m in others))
-    full = common_value(h0, m0, others, 1)
+    plane = canonical_plane(others + ((h0, m0),))
+    full = common_value(plane, plane.index((h0, m0)), 1)
     if short is not None:
         assert short == full
     # the value is also an exponent of the deletion, whose pair sums to |mu| - 1
@@ -198,8 +200,9 @@ def test_euler_multiplicity_concentrates_on_a_plane() -> None:
     m = multi(arr, [3, 2, 2])
     em = euler_multiplicity(m, 0)
     assert em.arrangement.dim == 1 and em.arrangement.n == 1
-    plane = reduce_to_plane(m)
-    expected = common_value(plane[0][0], 3, plane[1:], 1)
+    lines = reduce_to_plane(m)
+    plane = canonical_plane(lines)
+    expected = common_value(plane, plane.index(lines[0]), 1)
     assert em.mult == (expected,)
 
 
