@@ -43,7 +43,6 @@ __all__ = [
     "localization",
     "localize_multi",
     "multi",
-    "product",
     "rank_of",
     "restriction",
     "simple_multi",
@@ -229,17 +228,16 @@ def localization(arr: Arrangement, flat: Flat) -> Arrangement:
 
 @dataclass(frozen=True, slots=True)
 class Restriction:
-    """A restricted arrangement plus the parent-to-restricted index map.
+    """A restricted arrangement plus the parent-to-restricted index maps.
 
     ``trace[i]`` is the index of the image of parent hyperplane i, or
     None when parent i contains the flat (and hence does not restrict).
+    ``groups[j]`` lists, ascending, the parents whose image is j.
     """
 
     arrangement: Arrangement
     trace: tuple[int | None, ...]
-
-    def group(self, restricted_index: int) -> tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.trace) if t == restricted_index)
+    groups: tuple[tuple[int, ...], ...]
 
 
 def restriction(arr: Arrangement, flat: Flat) -> Restriction:
@@ -250,6 +248,7 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
     labels: list[str] = []
     index: dict[LinearForm, int] = {}
     trace: list[int | None] = []
+    groups: list[list[int]] = []
     for i, h in enumerate(arr.hyperplanes):
         if i in closed:
             trace.append(None)
@@ -261,9 +260,11 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
             index[restricted] = found
             forms.append(restricted)
             labels.append(arr.labels[i])
+            groups.append([])
         trace.append(found)
+        groups[found].append(i)
     sub = Arrangement(sub_dim, arr.zeta_order, tuple(forms), tuple(labels))
-    return Restriction(sub, tuple(trace))
+    return Restriction(sub, tuple(trace), tuple(map(tuple, groups)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,9 +278,6 @@ class MultiArrangement:
     def total(self) -> int:
         """|mu|, the sum of all multiplicities."""
         return sum(self.mult)
-
-    def multiplicity_of(self, index: int) -> int:
-        return self.mult[index]
 
     def key(self) -> tuple:
         """Canonical content key: sorted (form, multiplicity) pairs."""
@@ -343,11 +341,7 @@ def ziegler_multiplicity(arr: Arrangement, h0: int) -> MultiArrangement:
     so sum(kappa) = |A| - 1.
     """
     res = restriction(arr, hyperplane_flat(arr, h0))
-    counts = [0] * res.arrangement.n
-    for t in res.trace:
-        if t is not None:
-            counts[t] += 1
-    return MultiArrangement(res.arrangement, tuple(counts))
+    return MultiArrangement(res.arrangement, tuple(len(g) for g in res.groups))
 
 
 def concentrated_multiplicity(arr: Arrangement, h0: int, m0: int) -> MultiArrangement:
@@ -355,20 +349,6 @@ def concentrated_multiplicity(arr: Arrangement, h0: int, m0: int) -> MultiArrang
     if m0 < 1:
         raise ValueError("concentrated multiplicity needs m0 >= 1")
     return MultiArrangement(arr, tuple(m0 if i == h0 else 1 for i in range(arr.n)))
-
-
-def product(m1: MultiArrangement, m2: MultiArrangement) -> MultiArrangement:
-    """The product multiarrangement in the direct sum of the ambients."""
-    a1, a2 = m1.arrangement, m2.arrangement
-    if a1.zeta_order != a2.zeta_order:
-        raise ValueError("product factors must live over the same field")
-    z1 = [zero(a1.zeta_order)] * a1.dim
-    z2 = [zero(a1.zeta_order)] * a2.dim
-    forms = [LinearForm(tuple(f.coeffs) + tuple(z2)) for f in a1.hyperplanes]
-    forms += [LinearForm(tuple(z1) + tuple(f.coeffs)) for f in a2.hyperplanes]
-    labels = tuple(f"L.{s}" for s in a1.labels) + tuple(f"R.{s}" for s in a2.labels)
-    arr = Arrangement(a1.dim + a2.dim, a1.zeta_order, tuple(forms), labels)
-    return MultiArrangement(arr, tuple(m1.mult) + tuple(m2.mult))
 
 
 @functools.lru_cache(maxsize=None)

@@ -27,8 +27,6 @@ from .arrangement import (
     LinearForm,
     MultiArrangement,
     arrangement,
-    characteristic_polynomial,
-    intersection_lattice,
     linear_form,
     multi,
 )
@@ -39,7 +37,6 @@ __all__ = [
     "IntermediateSpec",
     "expected_exponents",
     "find_linear_isomorphism",
-    "fingerprint",
     "format_fixture",
     "intermediate",
     "load_fixture",
@@ -346,21 +343,6 @@ def shipped_table(name: str) -> dict:
     if missing:
         raise ValueError(f"table {name!r} lacks keys {sorted(missing)}")
     return payload
-
-
-def fingerprint(m: MultiArrangement) -> tuple:
-    """Cheap isomorphism invariants: size, charpoly, rank-2 local data.
-
-    Two multiarrangements related by an invertible linear map share this
-    fingerprint; unequal fingerprints certify non-isomorphism.
-    """
-    arr = m.arrangement
-    profile = sorted(
-        tuple(sorted(m.mult[i] for i in flat.closed))
-        for flat in intersection_lattice(arr, 2)
-        if flat.rank == 2
-    )
-    return (arr.n, m.total, characteristic_polynomial(arr), tuple(profile))
 
 
 def _in_mult_classes(m: MultiArrangement) -> dict[int, list[int]]:

@@ -47,7 +47,6 @@ from .arrangement import (
     Arrangement,
     Flat,
     MultiArrangement,
-    hyperplane_flat,
     intersection_lattice,
     localize_multi,
     multi,
@@ -56,14 +55,14 @@ from .arrangement import (
     simple_multi,
 )
 from .rank2 import (
-    canonical_plane,
-    common_value,
-    euler_value_shortcut,
-    localization_lines,
-    plane_coordinates,
+    EulerPattern,
+    Plane,
+    euler_multiplicity,
+    euler_pattern,
+    indexed_plane,
     plane_exponent_pair,
+    rank2_exponents,
 )
-from .scalars import Scalar
 
 __all__ = [
     "BudgetExceeded",
@@ -121,26 +120,6 @@ def _padded(values: tuple[int, ...] | list[int], size: int) -> tuple[int, ...]:
     return tuple(sorted([0] * (size - len(values)) + list(values)))
 
 
-class _Pattern:
-    """Restriction data of the full parent arrangement at one hyperplane."""
-
-    __slots__ = ("h0", "res_arr", "groups", "planes")
-
-    def __init__(self, ctx: _Context, h0: int) -> None:
-        arr = ctx.arr
-        self.h0 = h0
-        res = restriction(arr, hyperplane_flat(arr, h0))
-        self.res_arr = res.arrangement
-        groups: list[list[int]] = [[] for _ in range(res.arrangement.n)]
-        for parent, target in enumerate(res.trace):
-            if target is not None:
-                groups[target].append(parent)
-        self.groups = tuple(tuple(g) for g in groups)
-        # per rank-2 localization {group + h0}: its (line, index) pairs in
-        # canonical order, and the position of h0 among them
-        self.planes = tuple(localization_lines(arr, members, h0) for members in self.groups)
-
-
 class _Context:
     """Per-arrangement caches for one refuter run or one session's searches."""
 
@@ -156,7 +135,7 @@ class _Context:
         # the form keys are distinct, so one sort orders every state key
         order = sorted(range(self.n), key=self.form_keys.__getitem__)
         self._key_order = tuple((i, self.form_keys[i]) for i in order)
-        self._patterns: dict[int, _Pattern] = {}
+        self._patterns: dict[int, EulerPattern] = {}
         self._ranks: dict[frozenset[int], int] = {}
         self._euler_values: dict = {}
         self._restr_planes: dict = {}
@@ -186,10 +165,11 @@ class _Context:
             self._ranks[key] = cached
         return cached
 
-    def pattern(self, h0: int) -> _Pattern:
+    def pattern(self, h0: int) -> EulerPattern:
+        # keyed by h0 alone, so a call hashes no Arrangement
         pat = self._patterns.get(h0)
         if pat is None:
-            pat = _Pattern(self, h0)
+            pat = euler_pattern(self.arr, h0)
             self._patterns[h0] = pat
         return pat
 
@@ -205,11 +185,7 @@ class _Context:
             key = (h0, gid, m0, active)
             value = self._euler_values.get(key)
             if value is None:
-                mults = tuple(m for _, m in active)
-                value = euler_value_shortcut(m0, mults)
-                if value is None:
-                    lines, at = pat.planes[gid]
-                    value = common_value(tuple((line, state[p]) for line, p in lines), at, self.order)
+                value = pat.value(gid, state)
                 self._euler_values[key] = value
             out.append((gid, value))
         return out
@@ -217,14 +193,12 @@ class _Context:
     def restriction_size(self, state: tuple[int, ...], h0: int) -> int:
         return sum(v for _, v in self.euler_values(state, h0))
 
-    def restricted_plane(self, h0: int, gids: tuple[int, ...]) -> tuple[tuple[tuple[Scalar, Scalar], int], ...]:
+    def restricted_plane(self, h0: int, gids: tuple[int, ...]) -> Plane:
         """(line, gid) pairs of a rank-2 set of restricted hyperplanes, in canonical order."""
         key = (h0, gids)
         cached = self._restr_planes.get(key)
         if cached is None:
-            res_arr = self.pattern(h0).res_arr
-            rows = [res_arr.hyperplanes[g].coeffs for g in gids]
-            cached = canonical_plane(zip(plane_coordinates(rows, res_arr.dim, self.order), gids))
+            cached = indexed_plane(self.pattern(h0).arrangement, gids)
             self._restr_planes[key] = cached
         return cached
 
@@ -287,9 +261,8 @@ class _Engine:
         total = sum(state[i] for i in support)
         if rk == 1:
             return _padded((total,), ctx.dim)
-        lines = plane_coordinates([ctx.arr.hyperplanes[i].coeffs for i in support], ctx.dim, ctx.order)
-        canonical = canonical_plane(zip(lines, (state[i] for i in support)))
-        pair = plane_exponent_pair(canonical, ctx.order)
+        plane = tuple((line, state[i]) for line, i in indexed_plane(ctx.arr, support))
+        pair = plane_exponent_pair(plane, ctx.order)
         return _padded(pair, ctx.dim)
 
     def restriction_exponents(self, ctx: _Context, state: tuple[int, ...], h0: int) -> tuple[str, tuple[int, ...] | None]:
@@ -309,10 +282,10 @@ class _Engine:
             pair = plane_exponent_pair(plane, ctx.order)
             return "yes", _padded(pair, sub_dim)
         # genuine recursion: the restriction still has rank >= 3
-        mult = [0] * pat.res_arr.n
+        mult = [0] * pat.arrangement.n
         for g, v in values:
             mult[g] = v
-        sub = multi(pat.res_arr, mult)
+        sub = multi(pat.arrangement, mult)
         sub_ctx = self.session.context(sub.arrangement)
         verdict, exps = self.decide(sub_ctx, sub.mult)
         return verdict, exps
@@ -735,13 +708,14 @@ def replay_addition_rows(
 
     Starts from the target multiplicity minus all row additions, applies
     each row's addition, recomputes the Euler restriction exponents from
-    scratch (by ``euler_multiplicity`` and ``rank2_exponents``,
-    independently of the search caches), and checks both printed
-    columns.  Returns the final exponent multiset.  Raises ValueError
+    scratch (by ``euler_multiplicity``, independently of the search
+    caches), and checks both printed columns.  A restriction of rank <= 2
+    gets its exponents from ``rank2_exponents``; one of higher rank must
+    be decided "yes" by a fresh search whose chain is then replayed the
+    same way.  The start exponents are checked too when the base has
+    rank <= 2.  Returns the final exponent multiset.  Raises ValueError
     on the first mismatch.
     """
-    from .rank2 import euler_multiplicity, rank2_exponents
-
     arr = m_target.arrangement
     state = list(m_target.mult)
     for _, label, _ in rows:
@@ -749,6 +723,11 @@ def replay_addition_rows(
     if any(v < 0 for v in state):
         raise ValueError("rows add more than the target multiplicity")
     current = tuple(sorted(start_exponents))
+    base = multi(arr, state)
+    if rank_of(base.arrangement) <= 2:
+        base_exps = _replayed_exponents(base)
+        if base_exps != current:
+            raise ValueError(f"base: expected exponents {base_exps}, table says {current}")
     for i, (before, label, restricted) in enumerate(rows):
         if tuple(sorted(before)) != current:
             raise ValueError(f"row {i}: expected exponents {current}, table says {tuple(sorted(before))}")
@@ -756,9 +735,7 @@ def replay_addition_rows(
         state[h0] += 1
         stage = multi(arr, state)
         stage_h0 = stage.arrangement.index_of_label(label)
-        em = euler_multiplicity(stage, stage_h0)
-        pair = rank2_exponents(em)
-        computed = _padded(pair.exponents, arr.dim - 1)
+        computed = _replayed_exponents(euler_multiplicity(stage, stage_h0))
         if tuple(sorted(restricted)) != computed:
             raise ValueError(f"row {i}: restriction exponents {computed}, table says {tuple(sorted(restricted))}")
         after = check_addition_step(current, computed)
@@ -768,3 +745,17 @@ def replay_addition_rows(
     if tuple(state) != tuple(m_target.mult):
         raise ValueError("rows do not end at the target multiplicity")
     return current
+
+
+def _replayed_exponents(m: MultiArrangement) -> tuple[int, ...]:
+    """exp(m), padded to its dimension, recomputed outside any search memo.
+
+    Rank <= 2 is solved directly.  Higher rank must be inductively free:
+    a fresh session decides it and its chain is replayed row by row.
+    """
+    if rank_of(m.arrangement) <= 2:
+        return _padded(rank2_exponents(m).exponents, m.arrangement.dim)
+    report = is_inductively_free(m, session=Session())
+    if report.verdict != "yes":
+        raise ValueError(f"a rank-{rank_of(m.arrangement)} restriction is not inductively free ({report.verdict})")
+    return replay_addition_rows(m, report.base_exponents, table_rows(report))

@@ -11,11 +11,12 @@ generators pass an independent polynomial-division check, their degrees
 sum to |mu| and their determinant is nonzero.  ``verify_witness`` keeps
 a kernel scan over all lower degrees as an independent oracle.
 
-The Euler multiplicity of a restriction is computed by the common-value
-rule: for a rank-2 localization, mu*(Y) is the unique common nonzero
-exponent of (A_Y, mu_Y) and of its deletion at H0.  Closed-form
-shortcuts for special shapes are provided separately
-(:func:`euler_value_shortcut`) so tests can cross-check the two routes.
+The Euler multiplicity of a restriction has one route,
+:meth:`EulerPattern.value`.  For a rank-2 localization, mu*(Y) is the
+unique common nonzero exponent of (A_Y, mu_Y) and of its deletion at H0
+(the common-value rule).  Closed forms for special local shapes
+(:func:`euler_value_shortcut`) are its fast path, tried first; the plane
+of a localization is built only when they miss.
 """
 
 from __future__ import annotations
@@ -26,18 +27,20 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import linalg
-from .arrangement import Arrangement, MultiArrangement, hyperplane_flat, restriction
+from .arrangement import Arrangement, MultiArrangement, hyperplane_flat, rank_of, restriction
 from .scalars import Scalar, one, zero
 
 __all__ = [
+    "EulerPattern",
     "Rank2Derivation",
     "Rank2Result",
     "canonical_plane",
     "derivation_satisfies",
     "euler_multiplicity",
+    "euler_pattern",
     "euler_value_shortcut",
+    "indexed_plane",
     "is_saito_basis",
-    "localization_lines",
     "plane_coordinates",
     "plane_exponent_pair",
     "plane_exponents",
@@ -105,17 +108,14 @@ def canonical_plane(lines: Iterable[tuple[tuple[Scalar, Scalar], int]]) -> Plane
     return tuple(sorted(lines, key=lambda p: (tuple(c.sort_key() for c in p[0]), p[1])))
 
 
-def localization_lines(arr: Arrangement, members: Sequence[int], h0: int) -> tuple[Plane, int]:
-    """The rank-2 localization spanned by hyperplane h0 and ``members``.
+def indexed_plane(arr: Arrangement, indices: Sequence[int]) -> Plane:
+    """Canonical (line, index) pairs of a rank-2 set of hyperplanes of ``arr``.
 
-    Returns its lines in canonical order, each paired with its
-    hyperplane index instead of a multiplicity, and the position of h0
-    among them.
+    Each line carries its hyperplane index in place of a multiplicity,
+    so the one order found serves every multiplicity vector.
     """
-    indices = (*members, h0)
     rows = [arr.hyperplanes[p].coeffs for p in indices]
-    lines = canonical_plane(zip(plane_coordinates(rows, arr.dim, arr.zeta_order), indices))
-    return lines, [p for _, p in lines].index(h0)
+    return canonical_plane(zip(plane_coordinates(rows, arr.dim, arr.zeta_order), indices))
 
 
 def reduce_to_plane(m: MultiArrangement) -> Plane:
@@ -413,7 +413,6 @@ def plane_exponent_pair(plane: Plane, order: int) -> tuple[int, int]:
     return (low.degree, high.degree)
 
 
-@functools.lru_cache(maxsize=None)
 def rank2_exponents(m: MultiArrangement) -> Rank2Result:
     """Exponent pair {d1, d2}, d1 <= d2, of a multiarrangement of rank <= 2.
 
@@ -424,8 +423,7 @@ def rank2_exponents(m: MultiArrangement) -> Rank2Result:
     arr = m.arrangement
     if arr.n == 0:
         return Rank2Result((0, 0), None, ())
-    rk = linalg.rank([f.coeffs for f in arr.hyperplanes], arr.dim)
-    if rk == 1:
+    if rank_of(arr) == 1:
         return Rank2Result((0, m.total), None, ())
     canonical = canonical_plane(reduce_to_plane(m))
     pair, witness = plane_exponents(canonical, arr.zeta_order)
@@ -487,25 +485,54 @@ def common_value(plane: Plane, h0: int, order: int) -> int:
     return shared.pop()
 
 
-@functools.lru_cache(maxsize=None)
-def euler_multiplicity(m: MultiArrangement, h0: int) -> MultiArrangement:
-    """The Euler restriction (A'', mu*) of (A, mu) at hyperplane index h0.
+class EulerPattern:
+    """The Euler restriction of one arrangement at one hyperplane h0.
 
-    For every Y in A'' the localization (A_Y, mu_Y) is rank 2; mu*(Y) is
-    its common-value Euler multiplicity (with the closed-form shortcut
-    taken where it provably applies).
+    ``arrangement`` is the restriction A'' to h0, and ``groups[gid]``
+    lists the parent hyperplanes that restrict onto its hyperplane gid.
+    Together with h0 each group spans a rank-2 localization.  Its
+    canonical (line, index) plane goes into ``planes[gid]``, with the
+    position of h0 in it, the first time a value needs it.
     """
-    arr = m.arrangement
-    res = restriction(arr, hyperplane_flat(arr, h0))
-    groups: list[list[int]] = [[] for _ in range(res.arrangement.n)]
-    for parent, target in enumerate(res.trace):
-        if target is not None:
-            groups[target].append(parent)
-    values: list[int] = []
-    for members in groups:
-        value = euler_value_shortcut(m.mult[h0], tuple(m.mult[p] for p in members))
+
+    __slots__ = ("parent", "h0", "arrangement", "groups", "planes")
+
+    def __init__(self, parent: Arrangement, h0: int) -> None:
+        res = restriction(parent, hyperplane_flat(parent, h0))
+        self.parent = parent
+        self.h0 = h0
+        self.arrangement = res.arrangement
+        self.groups = res.groups
+        self.planes: dict[int, tuple[Plane, int]] = {}
+
+    def value(self, gid: int, mult: Sequence[int]) -> int:
+        """mu* on restricted hyperplane gid, for parent multiplicities ``mult``.
+
+        Zeros are allowed as long as h0 is nonzero: the value is that of
+        the support, and 0 when no member of the group is in it.  The
+        closed forms are tried first, the common-value rule otherwise.
+        """
+        others = tuple(mult[p] for p in self.groups[gid] if mult[p])
+        if not others:
+            return 0
+        value = euler_value_shortcut(mult[self.h0], others)
         if value is None:
-            lines, at = localization_lines(arr, members, h0)
-            value = common_value(tuple((line, m.mult[p]) for line, p in lines), at, arr.zeta_order)
-        values.append(value)
-    return MultiArrangement(res.arrangement, tuple(values))
+            plane = self.planes.get(gid)
+            if plane is None:
+                lines = indexed_plane(self.parent, (*self.groups[gid], self.h0))
+                plane = self.planes[gid] = (lines, [p for _, p in lines].index(self.h0))
+            lines, at = plane
+            value = common_value(tuple((line, mult[p]) for line, p in lines), at, self.parent.zeta_order)
+        return value
+
+
+@functools.lru_cache(maxsize=None)
+def euler_pattern(arr: Arrangement, h0: int) -> EulerPattern:
+    """The shared :class:`EulerPattern` of ``arr`` at hyperplane index h0."""
+    return EulerPattern(arr, h0)
+
+
+def euler_multiplicity(m: MultiArrangement, h0: int) -> MultiArrangement:
+    """The Euler restriction (A'', mu*) of (A, mu) at hyperplane index h0."""
+    pat = euler_pattern(m.arrangement, h0)
+    return MultiArrangement(pat.arrangement, tuple(pat.value(gid, m.mult) for gid in range(len(pat.groups))))

@@ -16,8 +16,6 @@ coefficients, in the derived :attr:`Scalar.coeffs` and in
 per plane built (``rank2.canonical_plane``), sorts content keys such as
 ``MultiArrangement.key`` and the refuter's dead-end digests, whose text
 it fixes; search memo keys use the integer ``num`` and ``den`` instead.
-Floating point never enters any computation, it is only offered as a
-diagnostic embedding via :meth:`Scalar.to_complex`.
 
 For r = 1 the basis is just {1}, so scalars are plain rationals.
 
@@ -34,7 +32,6 @@ z + 2
 
 from __future__ import annotations
 
-import cmath
 import functools
 from fractions import Fraction
 from math import gcd, lcm
@@ -352,11 +349,6 @@ class Scalar:
     def sort_key(self) -> tuple[Fraction, ...]:
         """A total order on scalars of one field, for canonical sorting."""
         return self.coeffs
-
-    def to_complex(self) -> complex:
-        """Numeric embedding (diagnostics only, never used in math paths)."""
-        root = cmath.exp(2j * cmath.pi / self._order)
-        return sum((complex(c) * root**j for j, c in enumerate(self.coeffs)), 0j)
 
     def __str__(self) -> str:
         coeffs = self.coeffs

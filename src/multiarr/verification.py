@@ -167,11 +167,6 @@ def _check_ziegler_identity() -> tuple[bool, str]:
     return True, f"{trials} random catalog sub-arrangements: sum(kappa) = |A| - 1 exactly"
 
 
-def _multi_content(m: MultiArrangement) -> list:
-    pairs = [(f, mu) for f, mu in zip(m.arrangement.hyperplanes, m.mult)]
-    return sorted(pairs, key=lambda p: (p[0].sort_key(), p[1]))
-
-
 def _check_fixture_derivation() -> tuple[bool, str]:
     bad = []
     for parent_name, h0_label, target_name in FIXTURE_DERIVATIONS:
@@ -182,7 +177,7 @@ def _check_fixture_derivation() -> tuple[bool, str]:
         h0 = parent.arrangement.index_of_label(h0_label)
         zm = ziegler_multiplicity(parent.arrangement, h0)
         target = shipped_fixture(target_name)
-        if _multi_content(zm) != _multi_content(target):
+        if zm.key() != target.key():
             bad.append(
                 f"Ziegler restriction of {parent_name} at {h0_label} does not "
                 f"reproduce {target_name} (content differs)"

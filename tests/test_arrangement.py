@@ -22,7 +22,6 @@ from multiarr.arrangement import (
     localization,
     localize_multi,
     multi,
-    product,
     rank_of,
     restriction,
     simple_multi,
@@ -166,7 +165,7 @@ def test_charpoly_has_root_one_and_ziegler_counts(g333, data) -> None:
     res = restriction(sub, hyperplane_flat(sub, h0))
     assert zm.arrangement == res.arrangement
     for g in range(res.arrangement.n):
-        assert zm.mult[g] == len(res.group(g))
+        assert zm.mult[g] == len(res.groups[g])
 
 
 def test_restriction_traces_commute_with_the_forms(g333) -> None:
@@ -179,7 +178,7 @@ def test_restriction_traces_commute_with_the_forms(g333) -> None:
             continue
         image = linear_form([linalg.dot(h.coeffs, b) for b in flat.basis])
         assert res.arrangement.hyperplanes[res.trace[i]] == image
-        assert i in res.group(res.trace[i])
+        assert i in res.groups[res.trace[i]]
 
 
 def test_localization_keeps_multiplicities(g333) -> None:
@@ -230,24 +229,6 @@ def test_concentrated_multiplicity(g333) -> None:
     assert d.mult == tuple(3 if i == 4 else 1 for i in range(g333.n))
     with pytest.raises(ValueError, match="m0 >= 1"):
         concentrated_multiplicity(g333, 0, 0)
-
-
-def test_product_multiplies_charpolys() -> None:
-    m1 = multi(arrangement(2, 1, rows((1, 0), (0, 1), (1, 1))), [1, 2, 1])
-    m2 = multi(arrangement(1, 1, rows((1,))), [3])
-    p = product(m1, m2)
-    assert p.arrangement.dim == 3
-    assert p.arrangement.n == 4
-    assert p.total == m1.total + m2.total
-    c1 = characteristic_polynomial(m1.arrangement)
-    c2 = characteristic_polynomial(m2.arrangement)
-    expected = [0] * (len(c1) + len(c2) - 1)
-    for i, a in enumerate(c1):
-        for j, b in enumerate(c2):
-            expected[i + j] += a * b
-    assert list(characteristic_polynomial(p.arrangement)) == expected
-    with pytest.raises(ValueError, match="same field"):
-        product(m1, multi(arrangement(1, 3, [[one(3)]]), [1]))
 
 
 def test_ziegler_on_catalog_roots() -> None:

@@ -20,7 +20,6 @@ from multiarr.catalog import (
     IntermediateSpec,
     expected_exponents,
     find_linear_isomorphism,
-    fingerprint,
     format_fixture,
     intermediate,
     load_fixture,
@@ -250,7 +249,6 @@ def transformed_copy(m, t_rows):
 def test_fingerprint_and_isomorphism_under_a_linear_map() -> None:
     src = simple_multi(intermediate(parse_spec_string("A:3:3:0")))
     dst = transformed_copy(src, ((1, 1, 0), (0, 1, 0), (2, 0, 1)))
-    assert fingerprint(src) == fingerprint(dst)
     t = find_linear_isomorphism(src, dst)
     assert t is not None
     # the returned matrix really maps the source forms onto the target set
@@ -268,10 +266,9 @@ def test_isomorphism_respects_multiplicities() -> None:
     same = multi(base, [2] + [1] * (base.n - 1))
     moved = multi(base, [1, 2] + [1] * (base.n - 2))
     assert find_linear_isomorphism(src, same) is not None
-    assert fingerprint(src) != fingerprint(simple_multi(base))
     assert find_linear_isomorphism(src, simple_multi(base)) is None
     # moving the heavy hyperplane to another root is a symmetry of this family
-    assert fingerprint(moved) == fingerprint(src)
+    assert find_linear_isomorphism(src, moved) is not None
 
 
 def test_isomorphism_rejects_different_sizes() -> None:

@@ -264,6 +264,24 @@ def test_emitted_table_replays(capsys, tmp_path) -> None:
     assert "replay failed" in err
 
 
+def test_rank4_table_round_trips(capsys, tmp_path) -> None:
+    # every Euler restriction of this chain has rank 3, so the replay
+    # decides each one afresh and replays that chain in turn
+    code, out, _ = run_cli(capsys, ["table", "--spec", "A:2:4:4", "--json"])
+    assert code == 0
+    doc = tmp_path / "a244.json"
+    doc.write_text(out, encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["table", "--replay", str(doc), "--json"])
+    assert code == 0
+    assert payload_of(out)["final_exponents"] == [1, 3, 5, 7]
+
+    broken = json.loads(doc.read_text(encoding="utf-8"))
+    broken["payload"]["rows"][-1][2][0] += 1
+    doc.write_text(json.dumps(broken), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["table", "--replay", str(doc)])
+    assert code == 1 and "restriction exponents" in err
+
+
 def test_table_emit_mode_refuses_negative_inputs(capsys) -> None:
     code, _, err = run_cli(capsys, ["table", "--spec", "A:3:3:0"])
     assert code == 1

@@ -87,10 +87,11 @@ def test_once_sorted_planes_are_canonical(make) -> None:
     rng = random.Random(6)
     planes = []
     for h0 in range(ctx.n):
-        pat = ctx.pattern(h0)
-        for lines, at in pat.planes:
+        # a localization's plane is stored once a shortcut has missed on it
+        for lines, at in ctx.pattern(h0).planes.values():
             assert lines[at][1] == h0
             planes.append(lines)
+    assert planes
     assert ctx._restr_planes
     planes.extend(ctx._restr_planes.values())
     for lines in planes:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from multiarr.arrangement import (
     simple_multi,
     ziegler_multiplicity,
 )
-from multiarr.catalog import intermediate, parse_spec_string
+from multiarr.catalog import intermediate, parse_spec_string, shipped_fixture
 from multiarr.rank2 import (
     Rank2Derivation,
     Rank2Result,
@@ -28,6 +29,7 @@ from multiarr.rank2 import (
     common_value,
     derivation_satisfies,
     euler_multiplicity,
+    euler_pattern,
     euler_value_shortcut,
     is_saito_basis,
     plane_exponent_pair,
@@ -204,6 +206,34 @@ def test_euler_multiplicity_concentrates_on_a_plane() -> None:
     plane = canonical_plane(lines)
     expected = common_value(plane, plane.index(lines[0]), 1)
     assert em.mult == (expected,)
+
+
+def a342_kappa():
+    arr = intermediate(parse_spec_string("A:3:4:2"))
+    return ziegler_multiplicity(arr, arr.index_of_label("H_{1,2}(1)"))
+
+
+@pytest.mark.parametrize("make", [lambda: shipped_fixture("g33_a2_kappa"), a342_kappa], ids=["g33_a2_kappa", "A:3:4:2"])
+def test_pattern_values_with_zeros_match_the_support(make) -> None:
+    # a pattern of the full arrangement, fed a state with zeros, gives the
+    # Euler restriction of the state's support arrangement
+    m = make()
+    arr = m.arrangement
+    rng = random.Random(7)
+    fallbacks = 0
+    for _ in range(12):
+        state = [rng.randint(0, mu) for mu in m.mult]
+        support = multi(arr, state)
+        for h0 in range(arr.n):
+            if not state[h0]:
+                continue
+            pat = euler_pattern(arr, h0)
+            em = euler_multiplicity(support, support.arrangement.index_of_label(arr.labels[h0]))
+            values = {form: pat.value(gid, state) for gid, form in enumerate(pat.arrangement.hyperplanes)}
+            # a restricted hyperplane that no support member maps onto gets 0
+            assert values == dict.fromkeys(values, 0) | dict(zip(em.arrangement.hyperplanes, em.mult))
+            fallbacks += len(pat.planes)
+    assert fallbacks  # the common-value rule was reached, not only the closed forms
 
 
 def test_euler_matches_ziegler_above_simple() -> None:

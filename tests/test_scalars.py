@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from multiarr.scalars import (
@@ -132,19 +131,6 @@ def test_power_and_int_mixing(data) -> None:
     assert 2 * a == a + a
     assert a - 1 == a - one(order)
     assert 1 - a == -(a - 1)
-
-
-@settings(max_examples=60)
-@given(order_and_scalars(2, nonzero=True))
-def test_complex_embedding_is_a_homomorphism(data) -> None:
-    _, a, b = data
-    assert abs((a * b).to_complex() - a.to_complex() * b.to_complex()) <= 1e-9
-    assert abs((a + b).to_complex() - (a.to_complex() + b.to_complex())) <= 1e-9
-
-
-@pytest.mark.parametrize("order", ORDERS)
-def test_zeta_embeds_to_the_unit_root(order: int) -> None:
-    assert abs(zeta(order).to_complex() - cmath.exp(2j * cmath.pi / order)) <= 1e-12
 
 
 def test_mixed_orders_rejected() -> None:
