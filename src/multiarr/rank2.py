@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -436,8 +437,12 @@ def euler_value_shortcut(m0: int, others: tuple[int, ...]) -> int | None:
     ``m0`` is the multiplicity of the distinguished hyperplane, ``others``
     those of the remaining hyperplanes through the same rank-2 flat.
     Returns None when no shortcut applies.  Used as an independent
-    cross-check of (and fast path for) the common-value rule.
+    cross-check of (and fast path for) the common-value rule.  A rank-2
+    flat holds at least one other hyperplane, so ``others`` must not be
+    empty.
     """
+    if not others:
+        raise ValueError("a rank-2 localization needs at least one other hyperplane")
     k = len(others) + 1
     if k == 2:
         return others[0]
@@ -489,13 +494,17 @@ class EulerPattern:
     """The Euler restriction of one arrangement at one hyperplane h0.
 
     ``arrangement`` is the restriction A'' to h0, and ``groups[gid]``
-    lists the parent hyperplanes that restrict onto its hyperplane gid.
-    Together with h0 each group spans a rank-2 localization.  Its
-    canonical (line, index) plane goes into ``planes[gid]``, with the
-    position of h0 in it, the first time a value needs it.
+    lists the parent hyperplanes that restrict onto its hyperplane gid;
+    ``group_of[p]`` is the gid of parent hyperplane p (-1 for h0), and
+    ``mults[gid]`` reads the multiplicities of h0 and of that group's
+    members from a parent multiplicity vector.  Together with h0 each
+    group spans a rank-2 localization A_Y.  Its canonical (line, index)
+    plane is the same for every h0 in A_Y, so it is built once per
+    arrangement (:func:`_flat_planes`), the first time a value needs it;
+    ``planes[gid]`` holds that shared plane and the position of h0 in it.
     """
 
-    __slots__ = ("parent", "h0", "arrangement", "groups", "planes")
+    __slots__ = ("parent", "h0", "arrangement", "groups", "group_of", "mults", "planes", "_flat_planes")
 
     def __init__(self, parent: Arrangement, h0: int) -> None:
         res = restriction(parent, hyperplane_flat(parent, h0))
@@ -503,7 +512,14 @@ class EulerPattern:
         self.h0 = h0
         self.arrangement = res.arrangement
         self.groups = res.groups
+        group_of = [-1] * parent.n
+        for gid, members in enumerate(res.groups):
+            for p in members:
+                group_of[p] = gid
+        self.group_of = tuple(group_of)
+        self.mults = tuple(operator.itemgetter(h0, *members) for members in res.groups)
         self.planes: dict[int, tuple[Plane, int]] = {}
+        self._flat_planes = _flat_planes(parent)
 
     def value(self, gid: int, mult: Sequence[int]) -> int:
         """mu* on restricted hyperplane gid, for parent multiplicities ``mult``.
@@ -519,11 +535,25 @@ class EulerPattern:
         if value is None:
             plane = self.planes.get(gid)
             if plane is None:
-                lines = indexed_plane(self.parent, (*self.groups[gid], self.h0))
+                flat = tuple(sorted((*self.groups[gid], self.h0)))
+                lines = self._flat_planes.get(flat)
+                if lines is None:
+                    lines = self._flat_planes[flat] = indexed_plane(self.parent, flat)
                 plane = self.planes[gid] = (lines, [p for _, p in lines].index(self.h0))
             lines, at = plane
             value = common_value(tuple((line, mult[p]) for line, p in lines), at, self.parent.zeta_order)
         return value
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_planes(arr: Arrangement) -> dict[tuple[int, ...], Plane]:
+    """Canonical (line, index) planes of the rank-2 flats of ``arr``.
+
+    Keyed by the sorted indices of the hyperplanes through the flat and
+    filled by the patterns of ``arr``; each pattern looks the dict up
+    once, so a plane lookup never hashes the arrangement.
+    """
+    return {}
 
 
 @functools.lru_cache(maxsize=None)

@@ -96,11 +96,21 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
         # hereditary runs 14 checks on one session
         (["indfree", "--spec", "A:2:4:4"], "e661d32e19ec65abb73274cc0e88af28eb340705e9a875e7daf299c55d6d8e86"),
         (["hereditary", "--spec", "A:2:3:0"], "a079a3be864485aa92a26fd289f0fe34b82d59fe2e001686304dbb6259c417c0"),
+        # taken at the parent commit of the per-deletion refuter sizes
+        (
+            ["refute", "--fixture", "g33_a2_kappa", "--exponents", "8 8 11"],
+            "bcc9c5b3cbd0b3a95b0c07d27f9832b6f36e501aac3916330d1602526a5160b0",
+        ),
+        (
+            ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 10 10"],
+            "74ed450372f0085283b5b4162e12eb97839d84b9ec4a8a4ea4a62ec5f45845ec",
+        ),
     ],
 )
 def test_scalar_json_bytes_are_pinned(capsys, argv, digest) -> None:
     code, out, _ = run_cli(capsys, [*argv, "--json"])
-    assert code == 0
+    # a refutation exits 2, every other answer here 0
+    assert code == (2 if json.loads(out)["status"] == "refuted" else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from multiarr.arrangement import arrangement, simple_multi, ziegler_multiplicity
+from multiarr.arrangement import arrangement, multi, simple_multi, ziegler_multiplicity
 from multiarr.catalog import intermediate, parse_fixture, parse_spec_string, shipped_fixture
 from multiarr.induction import (
     Session,
@@ -21,7 +21,7 @@ from multiarr.induction import (
     replay_addition_rows,
     table_rows,
 )
-from multiarr.rank2 import canonical_plane
+from multiarr.rank2 import _flat_planes, canonical_plane, euler_multiplicity
 
 
 def spec_simple(text: str):
@@ -85,13 +85,17 @@ def test_once_sorted_planes_are_canonical(make) -> None:
     assert is_inductively_free(m, session=session).verdict == "yes"
     ctx = session.context(m.arrangement)
     rng = random.Random(6)
-    planes = []
+    # a localization's plane is stored once a shortcut has missed on it,
+    # once per rank-2 flat, and every pattern through the flat shares it
+    shared = _flat_planes(ctx.arr)
+    held = 0
     for h0 in range(ctx.n):
-        # a localization's plane is stored once a shortcut has missed on it
         for lines, at in ctx.pattern(h0).planes.values():
             assert lines[at][1] == h0
-            planes.append(lines)
-    assert planes
+            assert shared[tuple(sorted(p for _, p in lines))] is lines
+            held += 1
+    assert shared and held >= len(shared)
+    planes = list(shared.values())
     assert ctx._restr_planes
     planes.extend(ctx._restr_planes.values())
     for lines in planes:
@@ -130,6 +134,51 @@ def test_state_keys_follow_content_not_order() -> None:
     assert len(keys) == len(box)
     for x in box[::97]:
         assert pctx.state_key(tuple(x[i] for i in perm)) == ctx.state_key(x)
+
+
+@pytest.mark.parametrize("make", [lambda: shipped_fixture("g33_a2_kappa"), a342_kappa], ids=["g33_a2_kappa", "A:3:4:2"])
+def test_sizes_updated_per_deletion_match_a_full_scan(make) -> None:
+    # the refuter derives |mu*| at h after deleting d from the size before
+    # the deletion; along random deletion paths that must agree with a full
+    # scan and with the Euler restriction of the support
+    m = make()
+    arr = m.arrangement
+    ctx, fresh = Session().context(arr), Session().context(arr)
+    rng = random.Random(8)
+    updated = 0
+    for _ in range(4):
+        state = m.mult
+        sizes = {h: ctx.restriction_size(state, h) for h in range(arr.n) if state[h]}
+        while sum(state) > 1:
+            d = rng.choice([i for i, mu in enumerate(state) if mu])
+            child = state[:d] + (state[d] - 1,) + state[d + 1 :]
+            support = multi(arr, child)
+            child_sizes = {}
+            for h in range(arr.n):
+                if not child[h]:
+                    continue
+                if h == d:
+                    size = ctx.restriction_size(child, h)
+                else:
+                    size = ctx.resized(sizes[h], state, child, h, d)
+                    updated += 1
+                em = euler_multiplicity(support, support.arrangement.index_of_label(arr.labels[h]))
+                assert size == fresh.restriction_size(child, h) == em.total
+                child_sizes[h] = size
+            state, sizes = child, child_sizes
+    assert updated > 100
+
+
+def test_certificate_extraction_spends_no_budget() -> None:
+    # rank 4: the chain's restrictions are rank-3 searches, which the
+    # extraction finds in the session memo instead of searching again
+    m = spec_simple("A:2:4:4")
+    rep = is_inductively_free(m)
+    assert rep.verdict == "yes" and rep.steps
+    exact = is_inductively_free(m, budget=rep.nodes)
+    assert exact.verdict == "yes"
+    assert (exact.nodes, exact.steps, exact.exponents) == (rep.nodes, rep.steps, rep.exponents)
+    assert is_inductively_free(m, budget=rep.nodes - 1).verdict == "unknown"
 
 
 def test_g333_is_exhaustively_negative() -> None:

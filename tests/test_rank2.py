@@ -130,6 +130,9 @@ def test_shortcut_shapes() -> None:
     assert euler_value_shortcut(1, (1, 1, 1)) is None  # simple: no shortcut
     assert euler_value_shortcut(2, (2, 2, 2)) == 4  # all twos
     assert euler_value_shortcut(3, (2, 2, 2, 2)) is None
+    # no other hyperplane: no rank-2 flat, so no value (not k - 1 = 1)
+    with pytest.raises(ValueError, match="at least one other hyperplane"):
+        euler_value_shortcut(2, ())
 
 
 def test_reduce_to_plane_needs_rank_two() -> None:
