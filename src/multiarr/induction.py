@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import linalg
@@ -182,8 +182,6 @@ class _Context:
         pat = self.pattern(h0)
         memo = self._euler_values
         out: list[tuple[int, int]] = []
-        # group_value inlined: this loop runs for every group of every scanned
-        # state, and the call per group cost about 5% of `refute` {8,8,11}
         for gid, mults in enumerate(pat.mults):
             key = (h0, gid, mults(state))
             value = memo.get(key)
@@ -193,31 +191,8 @@ class _Context:
                 out.append((gid, value))
         return out
 
-    def group_value(self, pat: EulerPattern, gid: int, state: tuple[int, ...]) -> int:
-        """mu* of the state's Euler restriction at ``pat.h0`` on restricted hyperplane gid.
-
-        Memoized under the multiplicities of h0 and of the group's
-        members, which are fixed per group.
-        """
-        key = (pat.h0, gid, pat.mults[gid](state))
-        value = self._euler_values.get(key)
-        if value is None:
-            value = self._euler_values[key] = pat.value(gid, state)
-        return value
-
     def restriction_size(self, state: tuple[int, ...], h0: int) -> int:
         return sum(v for _, v in self.euler_values(state, h0))
-
-    def resized(self, size: int, before: tuple[int, ...], after: tuple[int, ...], h0: int, d: int) -> int:
-        """|mu*| at h0 of ``after``, from ``size``, the one of ``before``.
-
-        The two states differ only at d != h0.  Every hyperplane other
-        than h0 lies in exactly one group of the pattern at h0, so only
-        the value of d's group changes.
-        """
-        pat = self.pattern(h0)
-        gid = pat.group_of[d]
-        return size - self.group_value(pat, gid, before) + self.group_value(pat, gid, after)
 
     def restricted_plane(self, h0: int, gids: tuple[int, ...]) -> Plane:
         """(line, gid) pairs of a rank-2 set of restricted hyperplanes, in canonical order."""
@@ -592,9 +567,6 @@ class _RefuterFrame:
     next_h: int = 0  # first deletion index not tried yet
     admissible: bool = False
     child: tuple[int, tuple] | None = None  # (deleted index, memo key) being explored
-    # |mu*| at each deletion index tried so far; a child frame derives its
-    # own from these through the one group that holds its deleted index
-    sizes: dict[int, int] = field(default_factory=dict)
 
 
 def _digest(ctx: _Context, state: tuple[int, ...], virtual: tuple[int, ...]) -> str:
@@ -665,19 +637,10 @@ def additive_refuter(
                 chain = tuple(labels[f.child[0]] for f in reversed(stack[:-1]))
                 break
             state, virtual = frame.state, frame.virtual
-            parent = stack[-2] if len(stack) > 1 else None
-            deleted = parent.child[0] if parent is not None else -1
             for h in range(frame.next_h, len(state)):
                 if not state[h]:
                     continue
-                # filled lazily: most frames never try most deletions
-                prior = parent.sizes.get(h) if parent is not None and h != deleted else None
-                if prior is None:
-                    size = ctx.restriction_size(state, h)
-                else:
-                    size = ctx.resized(prior, parent.state, state, h, deleted)
-                frame.sizes[h] = size
-                target = frame.total - size
+                target = frame.total - ctx.restriction_size(state, h)
                 if target < 1 or target not in virtual:
                     continue
                 frame.admissible = True

@@ -495,16 +495,15 @@ class EulerPattern:
 
     ``arrangement`` is the restriction A'' to h0, and ``groups[gid]``
     lists the parent hyperplanes that restrict onto its hyperplane gid;
-    ``group_of[p]`` is the gid of parent hyperplane p (-1 for h0), and
     ``mults[gid]`` reads the multiplicities of h0 and of that group's
     members from a parent multiplicity vector.  Together with h0 each
     group spans a rank-2 localization A_Y.  Its canonical (line, index)
-    plane is the same for every h0 in A_Y, so it is built once per
-    arrangement (:func:`_flat_planes`), the first time a value needs it;
+    plane is the same for every h0 in A_Y, so it is built once per flat
+    (:func:`_flat_plane`), the first time a value needs it;
     ``planes[gid]`` holds that shared plane and the position of h0 in it.
     """
 
-    __slots__ = ("parent", "h0", "arrangement", "groups", "group_of", "mults", "planes", "_flat_planes")
+    __slots__ = ("parent", "h0", "arrangement", "groups", "mults", "planes")
 
     def __init__(self, parent: Arrangement, h0: int) -> None:
         res = restriction(parent, hyperplane_flat(parent, h0))
@@ -512,14 +511,8 @@ class EulerPattern:
         self.h0 = h0
         self.arrangement = res.arrangement
         self.groups = res.groups
-        group_of = [-1] * parent.n
-        for gid, members in enumerate(res.groups):
-            for p in members:
-                group_of[p] = gid
-        self.group_of = tuple(group_of)
         self.mults = tuple(operator.itemgetter(h0, *members) for members in res.groups)
         self.planes: dict[int, tuple[Plane, int]] = {}
-        self._flat_planes = _flat_planes(parent)
 
     def value(self, gid: int, mult: Sequence[int]) -> int:
         """mu* on restricted hyperplane gid, for parent multiplicities ``mult``.
@@ -535,10 +528,7 @@ class EulerPattern:
         if value is None:
             plane = self.planes.get(gid)
             if plane is None:
-                flat = tuple(sorted((*self.groups[gid], self.h0)))
-                lines = self._flat_planes.get(flat)
-                if lines is None:
-                    lines = self._flat_planes[flat] = indexed_plane(self.parent, flat)
+                lines = _flat_plane(self.parent, tuple(sorted((*self.groups[gid], self.h0))))
                 plane = self.planes[gid] = (lines, [p for _, p in lines].index(self.h0))
             lines, at = plane
             value = common_value(tuple((line, mult[p]) for line, p in lines), at, self.parent.zeta_order)
@@ -546,14 +536,9 @@ class EulerPattern:
 
 
 @functools.lru_cache(maxsize=None)
-def _flat_planes(arr: Arrangement) -> dict[tuple[int, ...], Plane]:
-    """Canonical (line, index) planes of the rank-2 flats of ``arr``.
-
-    Keyed by the sorted indices of the hyperplanes through the flat and
-    filled by the patterns of ``arr``; each pattern looks the dict up
-    once, so a plane lookup never hashes the arrangement.
-    """
-    return {}
+def _flat_plane(arr: Arrangement, flat: tuple[int, ...]) -> Plane:
+    """The canonical (line, index) plane of a rank-2 flat, by its sorted indices."""
+    return indexed_plane(arr, flat)
 
 
 @functools.lru_cache(maxsize=None)

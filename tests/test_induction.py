@@ -21,7 +21,7 @@ from multiarr.induction import (
     replay_addition_rows,
     table_rows,
 )
-from multiarr.rank2 import _flat_planes, canonical_plane, euler_multiplicity
+from multiarr.rank2 import _flat_plane, canonical_plane, euler_multiplicity
 
 
 def spec_simple(text: str):
@@ -87,15 +87,17 @@ def test_once_sorted_planes_are_canonical(make) -> None:
     rng = random.Random(6)
     # a localization's plane is stored once a shortcut has missed on it,
     # once per rank-2 flat, and every pattern through the flat shares it
-    shared = _flat_planes(ctx.arr)
-    held = 0
+    by_flat: dict[tuple[int, ...], list] = {}
     for h0 in range(ctx.n):
         for lines, at in ctx.pattern(h0).planes.values():
             assert lines[at][1] == h0
-            assert shared[tuple(sorted(p for _, p in lines))] is lines
-            held += 1
-    assert shared and held >= len(shared)
-    planes = list(shared.values())
+            flat = tuple(sorted(p for _, p in lines))
+            assert _flat_plane(ctx.arr, flat) is lines
+            by_flat.setdefault(flat, []).append(lines)
+    assert by_flat
+    assert all(held is kept[0] for kept in by_flat.values() for held in kept)
+    assert any(len(kept) > 1 for kept in by_flat.values())
+    planes = [kept[0] for kept in by_flat.values()]
     assert ctx._restr_planes
     planes.extend(ctx._restr_planes.values())
     for lines in planes:
@@ -137,36 +139,30 @@ def test_state_keys_follow_content_not_order() -> None:
 
 
 @pytest.mark.parametrize("make", [lambda: shipped_fixture("g33_a2_kappa"), a342_kappa], ids=["g33_a2_kappa", "A:3:4:2"])
-def test_sizes_updated_per_deletion_match_a_full_scan(make) -> None:
-    # the refuter derives |mu*| at h after deleting d from the size before
-    # the deletion; along random deletion paths that must agree with a full
-    # scan and with the Euler restriction of the support
+def test_memoized_sizes_along_deletion_paths_match_the_support(make) -> None:
+    # a group's Euler value is memoized under the multiplicities of h0 and
+    # of the group's members; along random deletion paths, as the refuter
+    # walks them, a size read through the memo warmed by the states before
+    # must equal the Euler restriction of the support
     m = make()
     arr = m.arrangement
-    ctx, fresh = Session().context(arr), Session().context(arr)
+    ctx = Session().context(arr)
     rng = random.Random(8)
-    updated = 0
+    lookups = 0
     for _ in range(4):
         state = m.mult
-        sizes = {h: ctx.restriction_size(state, h) for h in range(arr.n) if state[h]}
         while sum(state) > 1:
             d = rng.choice([i for i, mu in enumerate(state) if mu])
-            child = state[:d] + (state[d] - 1,) + state[d + 1 :]
-            support = multi(arr, child)
-            child_sizes = {}
+            state = state[:d] + (state[d] - 1,) + state[d + 1 :]
+            support = multi(arr, state)
             for h in range(arr.n):
-                if not child[h]:
+                if not state[h]:
                     continue
-                if h == d:
-                    size = ctx.restriction_size(child, h)
-                else:
-                    size = ctx.resized(sizes[h], state, child, h, d)
-                    updated += 1
                 em = euler_multiplicity(support, support.arrangement.index_of_label(arr.labels[h]))
-                assert size == fresh.restriction_size(child, h) == em.total
-                child_sizes[h] = size
-            state, sizes = child, child_sizes
-    assert updated > 100
+                assert ctx.restriction_size(state, h) == em.total
+                lookups += len(ctx.pattern(h).groups)
+    # most lookups are memo hits
+    assert 2 * len(ctx._euler_values) < lookups
 
 
 def test_certificate_extraction_spends_no_budget() -> None:
