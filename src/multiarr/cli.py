@@ -96,7 +96,7 @@ def _load_input(args) -> tuple[MultiArrangement, str]:
     if path.exists():
         try:
             return parse_fixture(path.read_text(encoding="utf-8")), token
-        except FixtureError as exc:
+        except (FixtureError, OSError, UnicodeDecodeError) as exc:
             raise CommandError(f"{token}: {exc}") from None
     name = token[: -len(".arr")] if token.endswith(".arr") else token
     try:
@@ -352,6 +352,29 @@ def _cmd_refute(args) -> int:
     return _emit(args, status, payload, human)
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def _table_shape_error(doc) -> str | None:
+    """What is malformed about a table document, or None if its shape is right."""
+    if not isinstance(doc, dict):
+        return f"expected a JSON object, got {type(doc).__name__}"
+    start, rows, final = doc.get("start_exponents"), doc.get("rows"), doc.get("final_exponents")
+    if start is None or rows is None:
+        return "need 'start_exponents' and 'rows'"
+    if not _int_list(start):
+        return "'start_exponents' must be a list of integers"
+    if not isinstance(rows, list):
+        return "'rows' must be a list"
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 3 and _int_list(row[0]) and isinstance(row[1], str) and _int_list(row[2])):
+            return f"row {i}: expected [exponents, label, exponents]"
+    if final is not None and not _int_list(final):
+        return "'final_exponents' must be a list of integers"
+    return None
+
+
 def _cmd_table(args) -> int:
     if args.replay or args.shipped_table:
         if args.shipped_table:
@@ -368,11 +391,14 @@ def _cmd_table(args) -> int:
                 raise CommandError(f"{args.replay}: no such file")
             try:
                 doc = json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
+            except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
                 raise CommandError(f"{args.replay}: {exc}") from None
             if isinstance(doc, dict) and "payload" in doc:  # a --json indfree result
                 doc = doc["payload"]
             source = args.replay
+        problem = _table_shape_error(doc)
+        if problem is not None:
+            raise CommandError(f"{source}: {problem}")
         named = doc.get("fixture") or doc.get("input")
         if getattr(args, "spec", None) or getattr(args, "fixture", None):
             m, name = _load_input(args)
@@ -385,11 +411,8 @@ def _cmd_table(args) -> int:
             m, name = _load_input(args)
         else:
             raise CommandError("the table does not name its fixture; pass --fixture/--spec")
-        start = doc.get("start_exponents")
-        rows = doc.get("rows")
-        if start is None or rows is None:
-            raise CommandError(f"{source}: need 'start_exponents' and 'rows'")
-        rows = [(tuple(a), lab, tuple(b)) for a, lab, b in rows]
+        start = doc["start_exponents"]
+        rows = [(tuple(a), lab, tuple(b)) for a, lab, b in doc["rows"]]
         try:
             final = replay_addition_rows(m, tuple(start), rows)
         except (ValueError, KeyError) as exc:

@@ -56,7 +56,6 @@ from .arrangement import (
 )
 from .rank2 import (
     EulerPattern,
-    Plane,
     euler_multiplicity,
     euler_pattern,
     indexed_plane,
@@ -138,7 +137,6 @@ class _Context:
         self._patterns: dict[int, EulerPattern] = {}
         self._ranks: dict[frozenset[int], int] = {}
         self._euler_values: dict = {}
-        self._restr_planes: dict = {}
 
     def state_key(self, state: tuple[int, ...]) -> tuple:
         content = tuple((k, state[i]) for i, k in self._key_order if state[i])
@@ -194,15 +192,6 @@ class _Context:
     def restriction_size(self, state: tuple[int, ...], h0: int) -> int:
         return sum(v for _, v in self.euler_values(state, h0))
 
-    def restricted_plane(self, h0: int, gids: tuple[int, ...]) -> Plane:
-        """(line, gid) pairs of a rank-2 set of restricted hyperplanes, in canonical order."""
-        key = (h0, gids)
-        cached = self._restr_planes.get(key)
-        if cached is None:
-            cached = indexed_plane(self.pattern(h0).arrangement, gids)
-            self._restr_planes[key] = cached
-        return cached
-
 
 class Session:
     """Search memo shared by every call that is handed the same session.
@@ -257,11 +246,8 @@ class _Engine:
         )
 
     def low_rank_exponents(self, ctx: _Context, state: tuple[int, ...], support: tuple[int, ...], rk: int) -> tuple[int, ...]:
-        if rk == 0:
-            return (0,) * ctx.dim
-        total = sum(state[i] for i in support)
-        if rk == 1:
-            return _padded((total,), ctx.dim)
+        if rk <= 1:
+            return _padded((sum(state[i] for i in support),), ctx.dim)
         plane = tuple((line, state[i]) for line, i in indexed_plane(ctx.arr, support))
         pair = plane_exponent_pair(plane, ctx.order)
         return _padded(pair, ctx.dim)
@@ -272,28 +258,19 @@ class _Engine:
         """Verdict and exponents (padded to dim-1) of the Euler restriction.
 
         ``values`` are the restriction's ``ctx.euler_values(state, h0)``.
+        The restriction is a state of the restricted arrangement's own
+        context, zeros kept; its rank is that of the state's support less
+        one, since h0 is in the support.
         """
-        pat = ctx.pattern(h0)
-        gids = tuple(g for g, _ in values)
-        sub_dim = ctx.dim - 1
-        if len(gids) == 0:
-            return "yes", (0,) * sub_dim
-        if len(gids) == 1:
-            return "yes", _padded((0, values[0][1]), sub_dim)
-        restricted_rank = ctx.rank(ctx.support(state)) - 1
-        if restricted_rank <= 2:
-            value_of = dict(values)
-            plane = tuple((line, value_of[g]) for line, g in ctx.restricted_plane(h0, gids))
-            pair = plane_exponent_pair(plane, ctx.order)
-            return "yes", _padded(pair, sub_dim)
-        # genuine recursion: the restriction still has rank >= 3
-        mult = [0] * pat.arrangement.n
+        sub_ctx = self.session.context(ctx.pattern(h0).arrangement)
+        mult = [0] * sub_ctx.n
         for g, v in values:
             mult[g] = v
-        sub = multi(pat.arrangement, mult)
-        sub_ctx = self.session.context(sub.arrangement)
-        verdict, exps = self.decide(sub_ctx, sub.mult)
-        return verdict, exps
+        sub_state = tuple(mult)
+        rk = ctx.rank(ctx.support(state)) - 1
+        if rk <= 2:
+            return "yes", self.low_rank_exponents(sub_ctx, sub_state, sub_ctx.support(sub_state), rk)
+        return self.decide(sub_ctx, sub_state)
 
     def decide(self, ctx: _Context, target: tuple[int, ...]) -> tuple[str, tuple[int, ...] | None]:
         yes, no = self.session.yes, self.session.no
@@ -411,10 +388,6 @@ class InductionReport:
     base_exponents: tuple[int, ...] | None
     nodes: int
     budget: int
-
-    @property
-    def is_free(self) -> bool:
-        return self.verdict == "yes"
 
 
 def is_inductively_free(

@@ -46,7 +46,6 @@ __all__ = [
     "plane_exponent_pair",
     "plane_exponents",
     "rank2_exponents",
-    "reduce_to_plane",
     "verify_witness",
 ]
 
@@ -109,21 +108,18 @@ def canonical_plane(lines: Iterable[tuple[tuple[Scalar, Scalar], int]]) -> Plane
     return tuple(sorted(lines, key=lambda p: (tuple(c.sort_key() for c in p[0]), p[1])))
 
 
-def indexed_plane(arr: Arrangement, indices: Sequence[int]) -> Plane:
+@functools.lru_cache(maxsize=None)
+def indexed_plane(arr: Arrangement, indices: tuple[int, ...]) -> Plane:
     """Canonical (line, index) pairs of a rank-2 set of hyperplanes of ``arr``.
 
     Each line carries its hyperplane index in place of a multiplicity,
-    so the one order found serves every multiplicity vector.
+    so the one order found serves every multiplicity vector.  Planes
+    are made only here, and its cache is the one store of them: rank-2
+    flats, localizations, rank-2 search states and restrictions all
+    read their lines here.
     """
     rows = [arr.hyperplanes[p].coeffs for p in indices]
     return canonical_plane(zip(plane_coordinates(rows, arr.dim, arr.zeta_order), indices))
-
-
-def reduce_to_plane(m: MultiArrangement) -> Plane:
-    """Express a rank-2 multiarrangement in two canonical coordinates."""
-    arr = m.arrangement
-    lines = plane_coordinates([f.coeffs for f in arr.hyperplanes], arr.dim, arr.zeta_order)
-    return tuple(zip(lines, m.mult))
 
 
 def _binomial_rows(line: tuple[Scalar, Scalar], mult: int, degree: int, order: int) -> list[list[Scalar]]:
@@ -426,7 +422,7 @@ def rank2_exponents(m: MultiArrangement) -> Rank2Result:
         return Rank2Result((0, 0), None, ())
     if rank_of(arr) == 1:
         return Rank2Result((0, m.total), None, ())
-    canonical = canonical_plane(reduce_to_plane(m))
+    canonical = tuple((line, m.mult[i]) for line, i in indexed_plane(arr, tuple(range(arr.n))))
     pair, witness = plane_exponents(canonical, arr.zeta_order)
     return Rank2Result(pair, witness, canonical)
 
@@ -499,8 +495,9 @@ class EulerPattern:
     members from a parent multiplicity vector.  Together with h0 each
     group spans a rank-2 localization A_Y.  Its canonical (line, index)
     plane is the same for every h0 in A_Y, so it is built once per flat
-    (:func:`_flat_plane`), the first time a value needs it;
-    ``planes[gid]`` holds that shared plane and the position of h0 in it.
+    by :func:`indexed_plane` on the flat's sorted indices, the first time
+    a value needs it; ``planes[gid]`` holds that shared plane and the
+    position of h0 in it.
     """
 
     __slots__ = ("parent", "h0", "arrangement", "groups", "mults", "planes")
@@ -528,17 +525,11 @@ class EulerPattern:
         if value is None:
             plane = self.planes.get(gid)
             if plane is None:
-                lines = _flat_plane(self.parent, tuple(sorted((*self.groups[gid], self.h0))))
+                lines = indexed_plane(self.parent, tuple(sorted((*self.groups[gid], self.h0))))
                 plane = self.planes[gid] = (lines, [p for _, p in lines].index(self.h0))
             lines, at = plane
             value = common_value(tuple((line, mult[p]) for line, p in lines), at, self.parent.zeta_order)
         return value
-
-
-@functools.lru_cache(maxsize=None)
-def _flat_plane(arr: Arrangement, flat: tuple[int, ...]) -> Plane:
-    """The canonical (line, index) plane of a rank-2 flat, by its sorted indices."""
-    return indexed_plane(arr, flat)
 
 
 @functools.lru_cache(maxsize=None)

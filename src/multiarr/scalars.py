@@ -241,19 +241,8 @@ class Scalar:
     def __bool__(self) -> bool:
         return any(self._num)
 
-    def is_zero(self) -> bool:
-        return not any(self._num)
-
     def is_one(self) -> bool:
         return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
-
-    def is_rational(self) -> bool:
-        return not any(self._num[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self._num[0], self._den)
 
     def __add__(self, other: Scalar | int | Fraction) -> Scalar:
         if not isinstance(other, Scalar):

@@ -53,12 +53,10 @@ from .induction import (
     replay_addition_rows,
 )
 from .rank2 import (
-    canonical_plane,
     common_value,
     euler_multiplicity,
     euler_value_shortcut,
     rank2_exponents,
-    reduce_to_plane,
     verify_witness,
 )
 
@@ -238,7 +236,7 @@ def _check_negative_instances() -> tuple[bool, str]:
     if iso is None:
         return False, "obstructing localization is not linearly isomorphic to A:3:3:0"
     return True, (
-        f"simple A:3:3:0 exhaustively not inductively free ({rep.nodes} states, {dt:.2f}s); "
+        f"simple A:3:3:0 exhaustively not inductively free ({rep.nodes} states); "
         f"Ziegler restriction of A:3:5:1 at H_{{1,2}}(1) obstructed by a rank-3 flat whose "
         f"localization is simple and linearly isomorphic to A:3:3:0 "
         f"({obs.scanned} flats scanned)"
@@ -291,7 +289,8 @@ def _check_euler_consistency() -> tuple[bool, str]:
             if flat.rank != 2:
                 continue
             loc = localize_multi(m, flat)
-            plane = canonical_plane(reduce_to_plane(loc))
+            result = rank2_exponents(loc)
+            plane = result.plane
             if plane in seen:
                 continue
             seen.add(plane)
@@ -306,7 +305,6 @@ def _check_euler_consistency() -> tuple[bool, str]:
                             f"shortcut Euler value {short} != common-exponent value {full} "
                             f"at a rank-2 localization of {arr.labels[flat.closed[0]]}..."
                         )
-            result = rank2_exponents(loc)
             witnesses += 1
             if not verify_witness(result, arr.zeta_order):
                 return False, (

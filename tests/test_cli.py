@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import sys
+import types
 
 import pytest
 
-from multiarr.catalog import parse_fixture, shipped_fixture
+from multiarr import verification
+from multiarr.catalog import parse_fixture, shipped_fixture, shipped_table
 from multiarr.cli import main
 from multiarr.rank2 import euler_multiplicity
 
@@ -105,6 +108,11 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 10 10"],
             "74ed450372f0085283b5b4162e12eb97839d84b9ec4a8a4ea4a62ec5f45845ec",
         ),
+        # taken at the parent commit of the searched Euler restrictions with
+        # zero multiplicities kept: both recurse into rank-3 restrictions
+        # whose support misses some restricted hyperplanes
+        (["indfree", "--spec", "A:3:4:4"], "dc91622b62e3a695ae3d80e4f84360062765967376895e971a47461a545f76c8"),
+        (["hereditary", "--spec", "A:2:4:4"], "c4e09cf841647234729c05987c3b83db2447d48d40893a4d8b2d0acf914549c1"),
     ],
 )
 def test_scalar_json_bytes_are_pinned(capsys, argv, digest) -> None:
@@ -274,6 +282,44 @@ def test_emitted_table_replays(capsys, tmp_path) -> None:
     assert "replay failed" in err
 
 
+def _with(**fields) -> dict:
+    """The shipped g33_a2_kappa table with some fields replaced."""
+    return {**shipped_table("g33_a2_kappa"), **fields}
+
+
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        ([1, 2], "expected a JSON object"),
+        ({"payload": [1, 2]}, "expected a JSON object"),
+        (_with(rows=[[[1, 6, 7], "a5"]]), "row 0"),
+        (_with(rows=[[[1, 6, 7], 5, [6, 7]]]), "row 0"),
+        (_with(rows=5), "'rows' must be a list"),
+        (_with(start_exponents="x"), "'start_exponents'"),
+        (_with(start_exponents=None), "need 'start_exponents' and 'rows'"),
+        (_with(final_exponents=7), "'final_exponents'"),
+    ],
+    ids=["list", "payload-list", "two-field-row", "int-label", "int-rows", "str-start", "no-start", "int-final"],
+)
+def test_malformed_table_is_an_error_not_a_traceback(capsys, tmp_path, doc, problem) -> None:
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["table", "--replay", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ") and problem in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--replay", "--fixture"])
+def test_unreadable_input_file_is_an_error_not_a_traceback(capsys, tmp_path, option) -> None:
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe{")
+    for path in (tmp_path, binary):
+        code, out, err = run_cli(capsys, ["table", option, str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ")
+
+
 def test_rank4_table_round_trips(capsys, tmp_path) -> None:
     # every Euler restriction of this chain has rank 3, so the replay
     # decides each one afresh and replays that chain in turn
@@ -310,6 +356,18 @@ def test_verify_subset_and_unknown_check(capsys) -> None:
     code, _, err = run_cli(capsys, ["verify-paper", "--only", "nosuch"])
     assert code == 1
     assert "unknown check" in err
+
+
+def test_verify_json_bytes_ignore_the_clock(capsys, monkeypatch) -> None:
+    # two runs whose clocks tick at different rates, both well inside the
+    # 10 s bound of check 5, must print the same payload
+    def snap(tick: float) -> str:
+        monkeypatch.setattr(verification, "time", types.SimpleNamespace(monotonic=itertools.count(0.0, tick).__next__))
+        code, out, _ = run_cli(capsys, ["verify-paper", "--only", "5", "--json"])
+        assert code == 0
+        return out
+
+    assert snap(0.25) == snap(3.0)
 
 
 def test_help_documents_the_missing_parents(capsys) -> None:

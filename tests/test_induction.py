@@ -11,7 +11,10 @@ import pytest
 from multiarr.arrangement import arrangement, multi, simple_multi, ziegler_multiplicity
 from multiarr.catalog import intermediate, parse_fixture, parse_spec_string, shipped_fixture
 from multiarr.induction import (
+    DEFAULT_BUDGET,
     Session,
+    _Engine,
+    _replayed_exponents,
     additive_refuter,
     check_addition_step,
     emit_induction_table,
@@ -21,7 +24,7 @@ from multiarr.induction import (
     replay_addition_rows,
     table_rows,
 )
-from multiarr.rank2 import _flat_plane, canonical_plane, euler_multiplicity
+from multiarr.rank2 import canonical_plane, euler_multiplicity, indexed_plane
 
 
 def spec_simple(text: str):
@@ -39,7 +42,7 @@ def test_addition_step_combinatorics() -> None:
 
 def test_braid_certificate() -> None:
     rep = is_inductively_free(spec_simple("A:2:3:0"))
-    assert rep.verdict == "yes" and rep.is_free
+    assert rep.verdict == "yes"
     assert tuple(sorted(rep.exponents)) == (1, 2, 3)
     assert rep.nodes == 6
     assert len(rep.steps) == 4
@@ -82,7 +85,8 @@ def int_leaves(key) -> bool:
 def test_once_sorted_planes_are_canonical(make) -> None:
     m = make()
     session = Session()
-    assert is_inductively_free(m, session=session).verdict == "yes"
+    rep = is_inductively_free(m, session=session)
+    assert rep.verdict == "yes"
     ctx = session.context(m.arrangement)
     rng = random.Random(6)
     # a localization's plane is stored once a shortcut has missed on it,
@@ -92,14 +96,25 @@ def test_once_sorted_planes_are_canonical(make) -> None:
         for lines, at in ctx.pattern(h0).planes.values():
             assert lines[at][1] == h0
             flat = tuple(sorted(p for _, p in lines))
-            assert _flat_plane(ctx.arr, flat) is lines
+            assert indexed_plane(ctx.arr, flat) is lines
             by_flat.setdefault(flat, []).append(lines)
     assert by_flat
     assert all(held is kept[0] for kept in by_flat.values() for held in kept)
     assert any(len(kept) > 1 for kept in by_flat.values())
     planes = [kept[0] for kept in by_flat.values()]
-    assert ctx._restr_planes
-    planes.extend(ctx._restr_planes.values())
+    # a rank-2 restriction's plane comes from the same cache, keyed by the
+    # restricted arrangement and the support of its Euler values
+    state = m.mult
+    for step in reversed(rep.steps):
+        h0 = step.index
+        gids = tuple(g for g, _ in ctx.euler_values(state, h0))
+        if len(gids) > 1:
+            hits = indexed_plane.cache_info().hits
+            lines = indexed_plane(ctx.pattern(h0).arrangement, gids)
+            assert indexed_plane.cache_info().hits == hits + 1
+            planes.append(lines)
+        state = state[:h0] + (state[h0] - 1,) + state[h0 + 1 :]
+    assert len(planes) > len(by_flat)
     for lines in planes:
         for _ in range(3):
             mults = [rng.randint(0, 3) for _ in lines]
@@ -165,6 +180,36 @@ def test_memoized_sizes_along_deletion_paths_match_the_support(make) -> None:
     assert 2 * len(ctx._euler_values) < lookups
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: spec_simple("A:2:4:4"), lambda: spec_simple("A:3:4:4"), a342_kappa], ids=["A:2:4:4", "A:3:4:4", "A:3:4:2"]
+)
+def test_restriction_routes_agree(make) -> None:
+    # the search's route (Euler values read through its memo, the
+    # restriction searched as a state of the restricted context, zeros
+    # kept) against the replay route (euler_multiplicity of the support,
+    # solved or searched and replayed on a fresh session)
+    m = make()
+    arr = m.arrangement
+    engine = _Engine(Session(), DEFAULT_BUDGET)
+    ctx = engine.session.context(arr)
+    rng = random.Random(9)
+    verdicts = set()
+    for _ in range(6):
+        y = tuple(rng.randint(0, mu) for mu in m.mult)
+        support = multi(arr, y)
+        for h in ctx.support(y):
+            verdict, exps = engine.restriction_exponents(ctx, y, h, ctx.euler_values(y, h))
+            em = euler_multiplicity(support, support.arrangement.index_of_label(arr.labels[h]))
+            verdicts.add(verdict)
+            if verdict == "yes":
+                assert _replayed_exponents(em) == exps
+            else:
+                assert verdict == "no"
+                with pytest.raises(ValueError, match="not inductively free"):
+                    _replayed_exponents(em)
+    assert "yes" in verdicts
+
+
 def test_certificate_extraction_spends_no_budget() -> None:
     # rank 4: the chain's restrictions are rank-3 searches, which the
     # extraction finds in the session memo instead of searching again
@@ -179,7 +224,7 @@ def test_certificate_extraction_spends_no_budget() -> None:
 
 def test_g333_is_exhaustively_negative() -> None:
     rep = is_inductively_free(spec_simple("A:3:3:0"))
-    assert rep.verdict == "no" and not rep.is_free
+    assert rep.verdict == "no"
     assert rep.exponents is None and rep.steps == ()
     assert rep.nodes == 256
 

@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from multiarr.arrangement import (
     arrangement,
     concentrated_multiplicity,
-    hyperplane_flat,
     intersection_lattice,
     localize_multi,
     multi,
     restriction,
-    simple_multi,
     ziegler_multiplicity,
 )
 from multiarr.catalog import intermediate, parse_spec_string, shipped_fixture
@@ -31,11 +29,11 @@ from multiarr.rank2 import (
     euler_multiplicity,
     euler_pattern,
     euler_value_shortcut,
+    indexed_plane,
     is_saito_basis,
     plane_exponent_pair,
     plane_exponents,
     rank2_exponents,
-    reduce_to_plane,
     verify_witness,
 )
 from multiarr.scalars import Scalar, cyclotomic_polynomial, one, rational, zero, zeta
@@ -135,22 +133,24 @@ def test_shortcut_shapes() -> None:
         euler_value_shortcut(2, ())
 
 
-def test_reduce_to_plane_needs_rank_two() -> None:
+def test_indexed_plane_needs_rank_two() -> None:
     arr = arrangement(3, 1, [[rational(c) for c in r] for r in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
     with pytest.raises(ValueError, match="rank 2"):
-        reduce_to_plane(simple_multi(arr))
+        indexed_plane(arr, tuple(range(arr.n)))
 
 
-def test_reduce_to_plane_of_an_embedded_flat() -> None:
+def test_plane_of_an_embedded_flat() -> None:
     g333 = intermediate(parse_spec_string("A:3:3:0"))
     flat = next(f for f in intersection_lattice(g333, 2) if len(f.closed) >= 3)
     loc = localize_multi(multi(g333, [2] * g333.n), flat)
-    plane = reduce_to_plane(loc)
+    result = rank2_exponents(loc)
+    plane = result.plane
     assert len(plane) == len(flat.closed)
     assert all(m == 2 for _, m in plane)
     for (a, b), _ in plane:
-        assert a.is_one() or (a.is_zero() and b.is_one())
-    result = rank2_exponents(loc)
+        assert a.is_one() or (not a and b.is_one())
+    # the localization's lines are those of the flat inside the parent
+    assert [l for l, _ in plane] == [l for l, _ in indexed_plane(g333, tuple(sorted(flat.closed)))]
     assert result.exponents[0] + result.exponents[1] == loc.total
     assert verify_witness(result, g333.zeta_order)
 
@@ -205,9 +205,10 @@ def test_euler_multiplicity_concentrates_on_a_plane() -> None:
     m = multi(arr, [3, 2, 2])
     em = euler_multiplicity(m, 0)
     assert em.arrangement.dim == 1 and em.arrangement.n == 1
-    lines = reduce_to_plane(m)
-    plane = canonical_plane(lines)
-    expected = common_value(plane, plane.index(lines[0]), 1)
+    plane = rank2_exponents(m).plane
+    at = [p for _, p in indexed_plane(arr, (0, 1, 2))].index(0)
+    assert plane[at][1] == 3
+    expected = common_value(plane, at, 1)
     assert em.mult == (expected,)
 
 

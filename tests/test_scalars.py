@@ -140,14 +140,6 @@ def test_mixed_orders_rejected() -> None:
         zeta(3) * one(1)
 
 
-def test_rational_view() -> None:
-    assert rational(7, 3).as_rational() == 7
-    assert rational(7, 3).is_rational()
-    assert not zeta(3).is_rational()
-    with pytest.raises(ValueError, match="not rational"):
-        zeta(3).as_rational()
-
-
 def test_zero_division() -> None:
     with pytest.raises(ZeroDivisionError):
         zero(3).inverse()
