@@ -21,7 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .scalars import Scalar, one, zero
@@ -80,12 +80,22 @@ def linear_form(coeffs: tuple[Scalar, ...] | list[Scalar]) -> LinearForm:
 
 @dataclass(frozen=True, slots=True)
 class Arrangement:
-    """An ordered, labelled, duplicate-free tuple of hyperplanes."""
+    """An ordered, labelled, duplicate-free tuple of hyperplanes.
+
+    Its hash is computed once: the caches keyed by it hash it per call.
+    """
 
     dim: int
     zeta_order: int
     hyperplanes: tuple[LinearForm, ...]
     labels: tuple[str, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.dim, self.zeta_order, self.hyperplanes, self.labels)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -188,7 +188,7 @@ def parse_fixture(text: str) -> MultiArrangement:
     """Parse the line-oriented fixture format into a multiarrangement."""
     dim: int | None = None
     order: int | None = None
-    forms: list[LinearForm] = []
+    form_lines: dict[LinearForm, int] = {}  # normalized form -> its line, in file order
     mults: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -209,19 +209,17 @@ def parse_fixture(text: str) -> MultiArrangement:
             if dim is None or order is None:
                 raise FixtureError(lineno, "form before dim/zeta headers")
             form, mult = _parse_form_line(rest, lineno, dim, order)
-            forms.append(form)
+            if form in form_lines:
+                raise FixtureError(lineno, f"hyperplane coincides with the one on line {form_lines[form]}: {form}")
+            form_lines[form] = lineno
             mults.append(mult)
         else:
             raise FixtureError(lineno, f"unknown keyword {keyword!r}")
     if dim is None or order is None:
         raise FixtureError(0, "missing dim or zeta header")
-    if not forms:
+    if not form_lines:
         raise FixtureError(0, "no hyperplanes")
-    try:
-        arr = arrangement(dim, order, forms)
-        return multi(arr, mults)
-    except ValueError as exc:
-        raise FixtureError(0, str(exc)) from exc
+    return multi(arrangement(dim, order, list(form_lines)), mults)
 
 
 def _positive_int(text: str, lineno: int, what: str) -> int:

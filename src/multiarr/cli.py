@@ -43,8 +43,9 @@ from .induction import (
     emit_induction_table,
     hereditarily_inductively_free,
     is_inductively_free,
-    replay_addition_rows,
+    replay_table,
     table_rows,
+    table_shape_error,
 )
 from .rank2 import euler_multiplicity
 from .scalars import ScalarParseError, one, parse_scalar, zero
@@ -77,35 +78,45 @@ def _budget(text: str) -> int:
 
 
 def _load_input(args) -> tuple[MultiArrangement, str]:
-    """The (multiarrangement, display name) named by --spec/--fixture."""
+    """The (multiarrangement, display name) named by --spec/--fixture.
+
+    With --ziegler H0 it is the Ziegler restriction of that (simple)
+    input at H0.
+    """
+    token = getattr(args, "fixture", None)
     if getattr(args, "spec", None):
         try:
             spec = parse_spec_string(args.spec)
         except ValueError as exc:
             raise CommandError(str(exc)) from None
-        return simple_multi(intermediate(spec)), str(spec)
-    token = getattr(args, "fixture", None)
-    if not token:
+        m, name = simple_multi(intermediate(spec)), str(spec)
+    elif not token:
         raise CommandError("need an input: --spec A:r:l:k or --fixture NAME|PATH|-")
-    if token == "-":
+    elif token == "-":
         try:
-            return parse_fixture(sys.stdin.read()), "<stdin>"
+            m, name = parse_fixture(sys.stdin.read()), "<stdin>"
         except FixtureError as exc:
             raise CommandError(f"stdin: {exc}") from None
-    path = Path(token)
-    if path.exists():
+    elif Path(token).exists():
         try:
-            return parse_fixture(path.read_text(encoding="utf-8")), token
+            m, name = parse_fixture(Path(token).read_text(encoding="utf-8")), token
         except (FixtureError, OSError, UnicodeDecodeError) as exc:
             raise CommandError(f"{token}: {exc}") from None
-    name = token[: -len(".arr")] if token.endswith(".arr") else token
-    try:
-        return shipped_fixture(name), name
-    except KeyError:
-        raise CommandError(
-            f"{token!r} is neither a file nor a shipped fixture; shipped: "
-            + ", ".join(shipped_fixture_names())
-        ) from None
+    else:
+        name = token[: -len(".arr")] if token.endswith(".arr") else token
+        try:
+            m = shipped_fixture(name)
+        except KeyError:
+            raise CommandError(
+                f"{token!r} is neither a file nor a shipped fixture; shipped: "
+                + ", ".join(shipped_fixture_names())
+            ) from None
+    if getattr(args, "ziegler", None):
+        _require_simple(m, "--ziegler")
+        h0 = _resolve_hyperplane(m.arrangement, args.ziegler)
+        name = f"Ziegler restriction of {name} at {m.arrangement.labels[h0]}"
+        m = ziegler_multiplicity(m.arrangement, h0)
+    return m, name
 
 
 _ROOT_LABEL = re.compile(r"^H_\{(\d+),(\d+)\}\((.*)\)$")
@@ -265,11 +276,6 @@ def _require_simple(m: MultiArrangement, why: str) -> None:
 
 def _cmd_indfree(args) -> int:
     m, name = _load_input(args)
-    if args.ziegler:
-        _require_simple(m, "--ziegler")
-        h0 = _resolve_hyperplane(m.arrangement, args.ziegler)
-        name = f"Ziegler restriction of {name} at {m.arrangement.labels[h0]}"
-        m = ziegler_multiplicity(m.arrangement, h0)
     rep = is_inductively_free(m, args.budget, _progress(f"indfree {name}"))
     status = {"yes": "ok", "no": "refuted", "unknown": "unknown"}[rep.verdict]
     payload = {
@@ -311,11 +317,6 @@ def _cmd_hereditary(args) -> int:
 
 def _cmd_refute(args) -> int:
     m, name = _load_input(args)
-    if args.ziegler:
-        _require_simple(m, "--ziegler")
-        h0 = _resolve_hyperplane(m.arrangement, args.ziegler)
-        name = f"Ziegler restriction of {name} at {m.arrangement.labels[h0]}"
-        m = ziegler_multiplicity(m.arrangement, h0)
     try:
         exps = tuple(int(tok) for tok in args.exponents.replace(",", " ").split())
     except ValueError:
@@ -352,29 +353,6 @@ def _cmd_refute(args) -> int:
     return _emit(args, status, payload, human)
 
 
-def _int_list(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
-
-
-def _table_shape_error(doc) -> str | None:
-    """What is malformed about a table document, or None if its shape is right."""
-    if not isinstance(doc, dict):
-        return f"expected a JSON object, got {type(doc).__name__}"
-    start, rows, final = doc.get("start_exponents"), doc.get("rows"), doc.get("final_exponents")
-    if start is None or rows is None:
-        return "need 'start_exponents' and 'rows'"
-    if not _int_list(start):
-        return "'start_exponents' must be a list of integers"
-    if not isinstance(rows, list):
-        return "'rows' must be a list"
-    for i, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == 3 and _int_list(row[0]) and isinstance(row[1], str) and _int_list(row[2])):
-            return f"row {i}: expected [exponents, label, exponents]"
-    if final is not None and not _int_list(final):
-        return "'final_exponents' must be a list of integers"
-    return None
-
-
 def _cmd_table(args) -> int:
     if args.replay or args.shipped_table:
         if args.shipped_table:
@@ -396,7 +374,8 @@ def _cmd_table(args) -> int:
             if isinstance(doc, dict) and "payload" in doc:  # a --json indfree result
                 doc = doc["payload"]
             source = args.replay
-        problem = _table_shape_error(doc)
+        # the shape first: a document that is not an object names no fixture
+        problem = table_shape_error(doc)
         if problem is not None:
             raise CommandError(f"{source}: {problem}")
         named = doc.get("fixture") or doc.get("input")
@@ -411,15 +390,10 @@ def _cmd_table(args) -> int:
             m, name = _load_input(args)
         else:
             raise CommandError("the table does not name its fixture; pass --fixture/--spec")
-        start = doc["start_exponents"]
-        rows = [(tuple(a), lab, tuple(b)) for a, lab, b in doc["rows"]]
         try:
-            final = replay_addition_rows(m, tuple(start), rows)
-        except (ValueError, KeyError) as exc:
-            raise CommandError(f"{source}: replay failed: {exc}") from None
-        expected = doc.get("final_exponents")
-        if expected is not None and tuple(sorted(expected)) != final:
-            raise CommandError(f"{source}: replay ends at {final}, table claims {tuple(sorted(expected))}")
+            rows, final = replay_table(m, doc)
+        except ValueError as exc:
+            raise CommandError(f"{source}: {exc}") from None
         payload = {
             "input": name,
             "table": source,

@@ -55,7 +55,6 @@ from .arrangement import (
     simple_multi,
 )
 from .rank2 import (
-    EulerPattern,
     euler_multiplicity,
     euler_pattern,
     indexed_plane,
@@ -77,7 +76,9 @@ __all__ = [
     "is_inductively_free",
     "localization_obstruction",
     "replay_addition_rows",
+    "replay_table",
     "table_rows",
+    "table_shape_error",
 ]
 
 DEFAULT_BUDGET = 1_000_000
@@ -120,7 +121,7 @@ def _padded(values: tuple[int, ...] | list[int], size: int) -> tuple[int, ...]:
 
 
 class _Context:
-    """Per-arrangement caches for one refuter run or one session's searches."""
+    """Per-arrangement caches of one session: form keys, ranks, Euler values."""
 
     def __init__(self, arr: Arrangement) -> None:
         self.arr = arr
@@ -134,7 +135,6 @@ class _Context:
         # the form keys are distinct, so one sort orders every state key
         order = sorted(range(self.n), key=self.form_keys.__getitem__)
         self._key_order = tuple((i, self.form_keys[i]) for i in order)
-        self._patterns: dict[int, EulerPattern] = {}
         self._ranks: dict[frozenset[int], int] = {}
         self._euler_values: dict = {}
 
@@ -163,34 +163,23 @@ class _Context:
             self._ranks[key] = cached
         return cached
 
-    def pattern(self, h0: int) -> EulerPattern:
-        # keyed by h0 alone, so a call hashes no Arrangement
-        pat = self._patterns.get(h0)
-        if pat is None:
-            pat = euler_pattern(self.arr, h0)
-            self._patterns[h0] = pat
-        return pat
+    def euler_values(self, state: tuple[int, ...], h0: int) -> tuple[int, ...]:
+        """The state's Euler restriction at h0, as a state of the restriction.
 
-    def euler_values(self, state: tuple[int, ...], h0: int) -> list[tuple[int, int]]:
-        """(restricted index, mu*) for the state's Euler restriction at h0.
-
-        Restricted hyperplanes with value 0 (no member of their group in
-        the support) are left out.
+        One mu* per restricted hyperplane, zeros kept for those with no
+        member of their group in the support.  Each value is memoized
+        under the multiplicities of h0 and of its group's members.
         """
-        pat = self.pattern(h0)
+        pat = euler_pattern(self.arr, h0)
         memo = self._euler_values
-        out: list[tuple[int, int]] = []
+        out = []
         for gid, mults in enumerate(pat.mults):
             key = (h0, gid, mults(state))
             value = memo.get(key)
             if value is None:
                 value = memo[key] = pat.value(gid, state)
-            if value:
-                out.append((gid, value))
-        return out
-
-    def restriction_size(self, state: tuple[int, ...], h0: int) -> int:
-        return sum(v for _, v in self.euler_values(state, h0))
+            out.append(value)
+        return tuple(out)
 
 
 class Session:
@@ -253,24 +242,19 @@ class _Engine:
         return _padded(pair, ctx.dim)
 
     def restriction_exponents(
-        self, ctx: _Context, state: tuple[int, ...], h0: int, values: list[tuple[int, int]]
+        self, ctx: _Context, state: tuple[int, ...], h0: int, restricted: tuple[int, ...]
     ) -> tuple[str, tuple[int, ...] | None]:
         """Verdict and exponents (padded to dim-1) of the Euler restriction.
 
-        ``values`` are the restriction's ``ctx.euler_values(state, h0)``.
-        The restriction is a state of the restricted arrangement's own
-        context, zeros kept; its rank is that of the state's support less
-        one, since h0 is in the support.
+        ``restricted`` is ``ctx.euler_values(state, h0)``, a state of the
+        restricted arrangement's own context.  Its rank is that of the
+        state's support less one, since h0 is in the support.
         """
-        sub_ctx = self.session.context(ctx.pattern(h0).arrangement)
-        mult = [0] * sub_ctx.n
-        for g, v in values:
-            mult[g] = v
-        sub_state = tuple(mult)
+        sub_ctx = self.session.context(euler_pattern(ctx.arr, h0).arrangement)
         rk = ctx.rank(ctx.support(state)) - 1
         if rk <= 2:
-            return "yes", self.low_rank_exponents(sub_ctx, sub_state, sub_ctx.support(sub_state), rk)
-        return self.decide(sub_ctx, sub_state)
+            return "yes", self.low_rank_exponents(sub_ctx, restricted, sub_ctx.support(restricted), rk)
+        return self.decide(sub_ctx, restricted)
 
     def decide(self, ctx: _Context, target: tuple[int, ...]) -> tuple[str, tuple[int, ...] | None]:
         yes, no = self.session.yes, self.session.no
@@ -290,38 +274,20 @@ class _Engine:
 
         # Chains grow upward from the zero vector inside the box
         # 0 <= x <= target, so every explored state already carries its
-        # exponents and each edge needs one restriction solve.
-        exps_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-        def established(x: tuple[int, ...]) -> tuple[int, ...] | None:
-            e = exps_of.get(x)
-            if e is None:
-                prior = yes.get(ctx.state_key(x))
-                if prior is not None:
-                    e = prior[0]
-                    exps_of[x] = e
-            return e
-
-        def establish(x: tuple[int, ...], exps: tuple[int, ...], pred: tuple | None) -> None:
-            exps_of[x] = exps
-            yes.setdefault(ctx.state_key(x), (exps, pred))
-
+        # exponents (in ``yes``, or on the stack for the zero vector) and
+        # each edge needs one restriction solve.
         zero = (0,) * ctx.n
-        if established(zero) is None:
-            establish(zero, (0,) * ctx.dim, None)
         # Lazy depth-first walk: a state's outgoing edges are validated on
         # demand, so a straight descent pays only for the edges it takes.
         # A state enters "visited" when first reached by a valid edge; an
         # edge rejected from one parent stays available from others.
         visited: set[tuple[int, ...]] = {zero}
         self.spend()
-        stack: list[tuple[tuple[int, ...], object]] = [
-            (zero, iter(self.candidate_order(ctx, zero, target)))
+        stack: list[tuple[tuple[int, ...], tuple[int, ...], object]] = [
+            (zero, (0,) * ctx.dim, iter(self.candidate_order(ctx, zero, target)))
         ]
         while stack:
-            x, pending = stack[-1]
-            x_exps = established(x)
-            assert x_exps is not None
+            x, x_exps, pending = stack[-1]
             advanced = False
             for h in pending:
                 if x[h] >= target[h]:
@@ -329,32 +295,35 @@ class _Engine:
                 y = x[:h] + (x[h] + 1,) + x[h + 1 :]
                 if y in visited:
                     continue
-                y_exps = established(y)
-                if y_exps is None:
+                y_key = ctx.state_key(y)
+                prior = yes.get(y_key)
+                if prior is not None:
+                    y_exps = prior[0]
+                else:
                     y_support = ctx.support(y)
                     y_rk = ctx.rank(y_support)
                     if y_rk <= 2:
                         y_exps = self.low_rank_exponents(ctx, y, y_support, y_rk)
-                        establish(y, y_exps, None)
+                        yes[y_key] = (y_exps, None)
                     else:
                         # sound size prefilter: exps(y) = exps(restriction) + {b + 1},
                         # where the leftover b = |mu_x| - |mu*| must be in exps(x)
-                        values = ctx.euler_values(y, h)
-                        if sum(x) - sum(v for _, v in values) not in x_exps:
+                        restricted = ctx.euler_values(y, h)
+                        if sum(x) - sum(restricted) not in x_exps:
                             continue
-                        r_verdict, r_exps = self.restriction_exponents(ctx, y, h, values)
+                        r_verdict, r_exps = self.restriction_exponents(ctx, y, h, restricted)
                         if r_verdict != "yes":
                             continue
                         assert r_exps is not None
                         y_exps = check_addition_step(x_exps, r_exps)
                         if y_exps is None:
                             continue
-                        establish(y, y_exps, ctx.form_keys[h])
+                        yes[y_key] = (y_exps, ctx.form_keys[h])
                 if y == target:
                     return "yes", y_exps
                 visited.add(y)
                 self.spend()
-                stack.append((y, iter(self.candidate_order(ctx, y, target))))
+                stack.append((y, y_exps, iter(self.candidate_order(ctx, y, target))))
                 advanced = True
                 break
             if not advanced:
@@ -417,23 +386,23 @@ def is_inductively_free(
     if verdict != "yes":
         return InductionReport("no", None, (), (), None, engine.nodes, budget)
 
+    # Each row is read from the memo, with no search and no budget spent:
+    # exp(A, mu) is exp(A', mu') with one value b raised to b + 1, so b is
+    # the one value whose count falls, and exp(A'', mu*) is exp(A', mu') less b.
     yes = session.yes
     steps: list[InductionStep] = []
     cur = state
     while True:
-        key = ctx.state_key(cur)
-        cur_exps, h0_key = yes[key]
+        cur_exps, h0_key = yes[ctx.state_key(cur)]
         if h0_key is None:
             break
         h0 = ctx.index_of_key[h0_key]
-        child = list(cur)
-        child[h0] -= 1
-        child_state = tuple(child)
+        child_state = cur[:h0] + (cur[h0] - 1,) + cur[h0 + 1 :]
         child_exps = yes[ctx.state_key(child_state)][0]
-        _, r_exps = engine.restriction_exponents(ctx, cur, h0, ctx.euler_values(cur, h0))
-        assert r_exps is not None
+        r_exps = list(child_exps)
+        r_exps.remove(next(b for b in child_exps if child_exps.count(b) > cur_exps.count(b)))
         steps.append(
-            InductionStep(child_exps, m.arrangement.labels[h0], h0, r_exps, cur_exps)
+            InductionStep(child_exps, m.arrangement.labels[h0], h0, tuple(r_exps), cur_exps)
         )
         cur = child_state
     steps.reverse()
@@ -579,20 +548,17 @@ def additive_refuter(
         raise ValueError(f"exponents sum to {sum(exps)}, |mu| is {m.total}")
     if len(exps) != m.arrangement.dim:
         raise ValueError("need one (possibly zero) exponent per ambient dimension")
-    ctx = _Context(m.arrangement)
+    engine = _Engine(Session(), budget, progress)
+    ctx = engine.session.context(m.arrangement)
     labels = m.arrangement.labels
     dead: set[tuple] = set()
-    explored = dead_ends = max_depth = 0
+    dead_ends = max_depth = 0
     digests: list[str] = []
     truncated = False
 
     def enter(state: tuple[int, ...], virtual: tuple[int, ...]) -> _RefuterFrame:
-        nonlocal explored, max_depth
-        explored += 1
-        if explored > budget:
-            raise BudgetExceeded
-        if progress is not None and explored % 1000 == 0:
-            progress(explored)
+        nonlocal max_depth
+        engine.spend()
         max_depth = max(max_depth, len(stack))
         return _RefuterFrame(state, virtual, sum(state))
 
@@ -613,7 +579,7 @@ def additive_refuter(
             for h in range(frame.next_h, len(state)):
                 if not state[h]:
                     continue
-                target = frame.total - ctx.restriction_size(state, h)
+                target = frame.total - sum(ctx.euler_values(state, h))
                 if target < 1 or target not in virtual:
                     continue
                 frame.admissible = True
@@ -642,9 +608,9 @@ def additive_refuter(
                 if stack:
                     dead.add(stack[-1].child[1])
     except BudgetExceeded:
-        return RefutationReport("unknown", explored, dead_ends, max_depth, None, tuple(digests), truncated, budget)
+        return RefutationReport("unknown", engine.nodes, dead_ends, max_depth, None, tuple(digests), truncated, budget)
     verdict = "refuted" if chain is None else "chain_found"
-    return RefutationReport(verdict, explored, dead_ends, max_depth, chain, tuple(digests), truncated, budget)
+    return RefutationReport(verdict, engine.nodes, dead_ends, max_depth, chain, tuple(digests), truncated, budget)
 
 
 def table_rows(report: InductionReport) -> list[list]:
@@ -742,3 +708,50 @@ def _replayed_exponents(m: MultiArrangement) -> tuple[int, ...]:
     if report.verdict != "yes":
         raise ValueError(f"a rank-{rank_of(m.arrangement)} restriction is not inductively free ({report.verdict})")
     return replay_addition_rows(m, report.base_exponents, table_rows(report))
+
+
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def table_shape_error(doc) -> str | None:
+    """What is malformed about a table document, or None if its shape is right."""
+    if not isinstance(doc, dict):
+        return f"expected a JSON object, got {type(doc).__name__}"
+    start, rows, final = doc.get("start_exponents"), doc.get("rows"), doc.get("final_exponents")
+    if start is None or rows is None:
+        return "need 'start_exponents' and 'rows'"
+    if not _int_list(start):
+        return "'start_exponents' must be a list of integers"
+    if not isinstance(rows, list):
+        return "'rows' must be a list"
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 3 and _int_list(row[0]) and isinstance(row[1], str) and _int_list(row[2])):
+            return f"row {i}: expected [exponents, label, exponents]"
+    if final is not None and not _int_list(final):
+        return "'final_exponents' must be a list of integers"
+    return None
+
+
+def replay_table(
+    m: MultiArrangement, doc
+) -> tuple[list[tuple[tuple[int, ...], str, tuple[int, ...]]], tuple[int, ...]]:
+    """Replay an addition-table document against m: its rows and final exponents.
+
+    ``doc`` is a JSON object with integer ``start_exponents``, rows
+    ``[exponents, label, exponents]`` as :func:`table_rows` writes them,
+    and optionally integer ``final_exponents``, which the replay must
+    end at.  Raises ValueError on a malformed document or a failed replay.
+    """
+    problem = table_shape_error(doc)
+    if problem is not None:
+        raise ValueError(problem)
+    rows = [(tuple(a), label, tuple(b)) for a, label, b in doc["rows"]]
+    try:
+        final = replay_addition_rows(m, tuple(doc["start_exponents"]), rows)
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"replay failed: {exc}") from None
+    expected = doc.get("final_exponents")
+    if expected is not None and tuple(sorted(expected)) != final:
+        raise ValueError(f"replay ends at {final}, table claims {tuple(sorted(expected))}")
+    return rows, final

@@ -494,13 +494,12 @@ class EulerPattern:
     ``mults[gid]`` reads the multiplicities of h0 and of that group's
     members from a parent multiplicity vector.  Together with h0 each
     group spans a rank-2 localization A_Y.  Its canonical (line, index)
-    plane is the same for every h0 in A_Y, so it is built once per flat
-    by :func:`indexed_plane` on the flat's sorted indices, the first time
-    a value needs it; ``planes[gid]`` holds that shared plane and the
-    position of h0 in it.
+    plane is the same for every h0 in A_Y, so it is read from
+    :func:`indexed_plane` on the flat's sorted indices whenever a value
+    needs it; that cache is its one store.
     """
 
-    __slots__ = ("parent", "h0", "arrangement", "groups", "mults", "planes")
+    __slots__ = ("parent", "h0", "arrangement", "groups", "mults")
 
     def __init__(self, parent: Arrangement, h0: int) -> None:
         res = restriction(parent, hyperplane_flat(parent, h0))
@@ -509,7 +508,6 @@ class EulerPattern:
         self.arrangement = res.arrangement
         self.groups = res.groups
         self.mults = tuple(operator.itemgetter(h0, *members) for members in res.groups)
-        self.planes: dict[int, tuple[Plane, int]] = {}
 
     def value(self, gid: int, mult: Sequence[int]) -> int:
         """mu* on restricted hyperplane gid, for parent multiplicities ``mult``.
@@ -523,11 +521,8 @@ class EulerPattern:
             return 0
         value = euler_value_shortcut(mult[self.h0], others)
         if value is None:
-            plane = self.planes.get(gid)
-            if plane is None:
-                lines = indexed_plane(self.parent, tuple(sorted((*self.groups[gid], self.h0))))
-                plane = self.planes[gid] = (lines, [p for _, p in lines].index(self.h0))
-            lines, at = plane
+            lines = indexed_plane(self.parent, tuple(sorted((*self.groups[gid], self.h0))))
+            at = [p for _, p in lines].index(self.h0)
             value = common_value(tuple((line, mult[p]) for line, p in lines), at, self.parent.zeta_order)
         return value
 

@@ -3,10 +3,10 @@
 Every advertised guarantee of the package is pinned down by one check
 in this module: the closed-form catalog exponents, the Ziegler counting
 identity, the cross-derivation of the shipped fixtures from their
-parents, the induction certificates with their frozen addition tables,
-the negative and positive low-rank instances, Euler-multiplicity
-consistency, the concentrated-multiplicity suite, and the refuter
-regressions.  ``run_all`` drives them for the CLI's ``verify-paper``
+parents, the induction certificates and the frozen addition tables, all
+replayed, the negative and positive low-rank instances,
+Euler-multiplicity consistency, the concentrated-multiplicity suite,
+and the refuter regressions.  ``run_all`` drives them for the CLI's ``verify-paper``
 subcommand and for the acceptance test suite, which asserts one check
 per test so each appears as its own pass/fail line.
 
@@ -50,7 +50,8 @@ from .induction import (
     additive_refuter,
     is_inductively_free,
     localization_obstruction,
-    replay_addition_rows,
+    replay_table,
+    table_rows,
 )
 from .rank2 import (
     common_value,
@@ -188,29 +189,33 @@ def _check_fixture_derivation() -> tuple[bool, str]:
 def _check_induction_tables() -> tuple[bool, str]:
     bad = []
     notes = []
-    for name, want in TABLE_EXPONENTS.items():
-        m = shipped_fixture(name)
+    cases = [(name, shipped_fixture(name), want) for name, want in TABLE_EXPONENTS.items()]
+    cases.append(("simple A:2:4:4", simple_multi(intermediate(parse_spec_string("A:2:4:4"))), (1, 3, 5, 7)))
+    for name, m, want in cases:
         rep = is_inductively_free(m)
         got = tuple(sorted(rep.exponents)) if rep.exponents else None
         if rep.verdict != "yes" or got != want:
             bad.append(f"{name}: verdict {rep.verdict}, exponents {got}, expected yes {want}")
             continue
+        # the certificate just found must replay, like the frozen tables
+        doc = {"start_exponents": list(rep.base_exponents), "rows": table_rows(rep), "final_exponents": list(want)}
+        try:
+            replay_table(m, doc)
+        except ValueError as exc:
+            bad.append(f"{name}: certificate: {exc}")
+            continue
         notes.append(f"{name} {{{','.join(map(str, want))}}} ({len(rep.steps)} steps)")
     for name in shipped_table_names():
         payload = shipped_table(name)
-        m = shipped_fixture(payload["fixture"])
-        rows = [(tuple(a), lab, tuple(b)) for a, lab, b in payload["rows"]]
         try:
-            final = replay_addition_rows(m, tuple(payload["start_exponents"]), rows)
+            replay_table(shipped_fixture(payload["fixture"]), payload)
         except ValueError as exc:
-            bad.append(f"table {name}: replay failed: {exc}")
-            continue
-        if final != tuple(sorted(payload["final_exponents"])):
-            bad.append(f"table {name}: replay ended at {final}, table says {payload['final_exponents']}")
+            bad.append(f"table {name}: {exc}")
     if bad:
         return False, "; ".join(bad)
     return True, (
-        f"certificates: {', '.join(notes)}; all {len(shipped_table_names())} frozen addition tables replay row-exact"
+        f"certificates replayed: {', '.join(notes)}; "
+        f"all {len(shipped_table_names())} frozen addition tables replay row-exact"
     )
 
 

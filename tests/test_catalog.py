@@ -162,7 +162,8 @@ def test_fixture_parsing_tolerates_comments() -> None:
         ("dim 2\nzeta 1\nform (1, 0)", 3, "mult"),
         ("dim 2\nzeta 1", 0, "no hyperplanes"),
         ("", 0, "missing dim or zeta"),
-        ("dim 2\nzeta 1\nform (1, 0) mult 1\nform (2, 0) mult 1", 0, "coincide"),
+        ("dim 2\nzeta 1\nform (1, 0) mult 1\nform (2, 0) mult 1", 4, "coincides with the one on line 3"),
+        ("dim 2\nzeta 1\nform (1, 1) mult 1\n# a comment\nform (0, 1) mult 2\n\nform (3, 3) mult 1", 7, "line 3: \\(1, 1\\)"),
         ("dim 2\nzeta 1\nform (0, 0) mult 1", 3, "zero linear form"),
     ],
 )

@@ -24,7 +24,7 @@ from multiarr.induction import (
     replay_addition_rows,
     table_rows,
 )
-from multiarr.rank2 import canonical_plane, euler_multiplicity, indexed_plane
+from multiarr.rank2 import canonical_plane, euler_multiplicity, euler_pattern, indexed_plane
 
 
 def spec_simple(text: str):
@@ -89,28 +89,33 @@ def test_once_sorted_planes_are_canonical(make) -> None:
     assert rep.verdict == "yes"
     ctx = session.context(m.arrangement)
     rng = random.Random(6)
-    # a localization's plane is stored once a shortcut has missed on it,
-    # once per rank-2 flat, and every pattern through the flat shares it
-    by_flat: dict[tuple[int, ...], list] = {}
+    # every pattern through a rank-2 flat asks indexed_plane for it under
+    # the same key, the flat's sorted indices, so one plane object serves
+    # them all; the search has built those its shortcuts missed on
+    by_flat: dict[tuple[int, ...], list[int]] = {}
     for h0 in range(ctx.n):
-        for lines, at in ctx.pattern(h0).planes.values():
-            assert lines[at][1] == h0
-            flat = tuple(sorted(p for _, p in lines))
-            assert indexed_plane(ctx.arr, flat) is lines
-            by_flat.setdefault(flat, []).append(lines)
-    assert by_flat
-    assert all(held is kept[0] for kept in by_flat.values() for held in kept)
-    assert any(len(kept) > 1 for kept in by_flat.values())
-    planes = [kept[0] for kept in by_flat.values()]
+        for members in euler_pattern(ctx.arr, h0).groups:
+            by_flat.setdefault(tuple(sorted((*members, h0))), []).append(h0)
+    assert all(through == list(flat) for flat, through in by_flat.items())
+    assert any(len(flat) > 2 for flat in by_flat)
+    hits = indexed_plane.cache_info().hits
+    planes = []
+    for flat in by_flat:
+        lines = indexed_plane(ctx.arr, flat)
+        assert indexed_plane(ctx.arr, flat) is lines
+        assert sorted(p for _, p in lines) == list(flat)
+        planes.append(lines)
+    assert indexed_plane.cache_info().hits > hits + len(by_flat)
     # a rank-2 restriction's plane comes from the same cache, keyed by the
     # restricted arrangement and the support of its Euler values
     state = m.mult
     for step in reversed(rep.steps):
         h0 = step.index
-        gids = tuple(g for g, _ in ctx.euler_values(state, h0))
+        values = ctx.euler_values(state, h0)
+        gids = tuple(g for g, v in enumerate(values) if v)
         if len(gids) > 1:
             hits = indexed_plane.cache_info().hits
-            lines = indexed_plane(ctx.pattern(h0).arrangement, gids)
+            lines = indexed_plane(euler_pattern(ctx.arr, h0).arrangement, gids)
             assert indexed_plane.cache_info().hits == hits + 1
             planes.append(lines)
         state = state[:h0] + (state[h0] - 1,) + state[h0 + 1 :]
@@ -174,8 +179,10 @@ def test_memoized_sizes_along_deletion_paths_match_the_support(make) -> None:
                 if not state[h]:
                     continue
                 em = euler_multiplicity(support, support.arrangement.index_of_label(arr.labels[h]))
-                assert ctx.restriction_size(state, h) == em.total
-                lookups += len(ctx.pattern(h).groups)
+                values = ctx.euler_values(state, h)
+                assert sum(values) == em.total
+                assert sorted(v for v in values if v) == sorted(em.mult)
+                lookups += len(values)
     # most lookups are memo hits
     assert 2 * len(ctx._euler_values) < lookups
 
@@ -208,6 +215,15 @@ def test_restriction_routes_agree(make) -> None:
                 with pytest.raises(ValueError, match="not inductively free"):
                     _replayed_exponents(em)
     assert "yes" in verdicts
+    # a certificate's restriction exponents are derived from the memo's
+    # exponent sets; the search route must give the same for every row
+    rep = is_inductively_free(m, session=engine.session)
+    assert rep.verdict == "yes" and rep.steps
+    state = m.mult
+    for step in reversed(rep.steps):
+        h = step.index
+        assert engine.restriction_exponents(ctx, state, h, ctx.euler_values(state, h)) == ("yes", step.restriction_exponents)
+        state = state[:h] + (state[h] - 1,) + state[h + 1 :]
 
 
 def test_certificate_extraction_spends_no_budget() -> None:
