@@ -40,7 +40,6 @@ __all__ = [
     "hyperplane_flat",
     "intersection_lattice",
     "linear_form",
-    "localization",
     "localize_multi",
     "multi",
     "rank_of",
@@ -226,16 +225,6 @@ def rank_of(arr: Arrangement) -> int:
     return linalg.rank([f.coeffs for f in arr.hyperplanes], arr.dim)
 
 
-def localization(arr: Arrangement, flat: Flat) -> Arrangement:
-    """The subarrangement of hyperplanes containing the flat (same ambient)."""
-    return Arrangement(
-        arr.dim,
-        arr.zeta_order,
-        tuple(arr.hyperplanes[i] for i in flat.closed),
-        tuple(arr.labels[i] for i in flat.closed),
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class Restriction:
     """A restricted arrangement plus the parent-to-restricted index maps.
@@ -321,10 +310,8 @@ def simple_multi(arr: Arrangement) -> MultiArrangement:
 
 def localize_multi(m: MultiArrangement, flat: Flat) -> MultiArrangement:
     """(A_X, mu_X): hyperplanes through the flat keep their multiplicity."""
-    return MultiArrangement(
-        localization(m.arrangement, flat),
-        tuple(m.mult[i] for i in flat.closed),
-    )
+    closed = set(flat.closed)
+    return multi(m.arrangement, [mu if i in closed else 0 for i, mu in enumerate(m.mult)])
 
 
 def essentialize(m: MultiArrangement) -> MultiArrangement:

@@ -457,10 +457,9 @@ def _build_parser() -> _Parser:
     def add(name: str, help_text: str, *, search: bool = False, h0: bool = False, ziegler: bool = False):
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output, byte-stable per input")
-        if name != "verify-paper":
-            g = p.add_mutually_exclusive_group()
-            g.add_argument("--spec", metavar="A:r:l:k", help="intermediate arrangement, e.g. A:3:3:0")
-            g.add_argument("--fixture", metavar="NAME|PATH|-", help="fixture file, shipped fixture name, or - for stdin")
+        g = p.add_mutually_exclusive_group()
+        g.add_argument("--spec", metavar="A:r:l:k", help="intermediate arrangement, e.g. A:3:3:0")
+        g.add_argument("--fixture", metavar="NAME|PATH|-", help="fixture file, shipped fixture name, or - for stdin")
         if search:
             p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, metavar="N", help="search state budget")
         if h0:

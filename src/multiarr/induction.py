@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import linalg
 from .arrangement import (
@@ -288,7 +289,6 @@ class _Engine:
         ]
         while stack:
             x, x_exps, pending = stack[-1]
-            advanced = False
             for h in pending:
                 if x[h] >= target[h]:
                     continue
@@ -324,17 +324,15 @@ class _Engine:
                 visited.add(y)
                 self.spend()
                 stack.append((y, y_exps, iter(self.candidate_order(ctx, y, target))))
-                advanced = True
                 break
-            if not advanced:
+            else:
                 stack.pop()
         no.add(key)
         return "no", None
 
 
-@dataclass(frozen=True)
-class InductionStep:
-    """One addition step of a certificate chain.
+class InductionStep(NamedTuple):
+    """One addition step of a certificate chain, which is its table row.
 
     ``exponents_before`` belong to the state without the added
     hyperplane, ``restriction_exponents`` to the Euler restriction of
@@ -343,9 +341,7 @@ class InductionStep:
 
     exponents_before: tuple[int, ...]
     label: str
-    index: int
     restriction_exponents: tuple[int, ...]
-    exponents_after: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -401,9 +397,7 @@ def is_inductively_free(
         child_exps = yes[ctx.state_key(child_state)][0]
         r_exps = list(child_exps)
         r_exps.remove(next(b for b in child_exps if child_exps.count(b) > cur_exps.count(b)))
-        steps.append(
-            InductionStep(child_exps, m.arrangement.labels[h0], h0, tuple(r_exps), cur_exps)
-        )
+        steps.append(InductionStep(child_exps, m.arrangement.labels[h0], tuple(r_exps)))
         cur = child_state
     steps.reverse()
     base = tuple((m.arrangement.labels[i], mu) for i, mu in enumerate(cur) if mu)
@@ -499,18 +493,6 @@ class RefutationReport:
 _DIGEST_CAP = 10_000
 
 
-@dataclass
-class _RefuterFrame:
-    """One state on the refuter's deletion stack."""
-
-    state: tuple[int, ...]
-    virtual: tuple[int, ...]
-    total: int
-    next_h: int = 0  # first deletion index not tried yet
-    admissible: bool = False
-    child: tuple[int, tuple] | None = None  # (deleted index, memo key) being explored
-
-
 def _digest(ctx: _Context, state: tuple[int, ...], virtual: tuple[int, ...]) -> str:
     """Hash of a dead end: its content keyed and sorted by ``sort_key()``.
 
@@ -556,57 +538,56 @@ def additive_refuter(
     digests: list[str] = []
     truncated = False
 
-    def enter(state: tuple[int, ...], virtual: tuple[int, ...]) -> _RefuterFrame:
-        nonlocal max_depth
-        engine.spend()
-        max_depth = max(max_depth, len(stack))
-        return _RefuterFrame(state, virtual, sum(state))
+    def deletions(state: tuple[int, ...], virtual: tuple[int, ...]):
+        """(h, child key) of each deletion that passes the size test, in ascending h."""
+        total = sum(state)
+        for h, mu in enumerate(state):
+            if not mu:
+                continue
+            target = total - sum(ctx.euler_values(state, h))
+            if target < 1 or target not in virtual:
+                continue
+            lowered = list(virtual)
+            lowered.remove(target)
+            lowered.append(target - 1)
+            # one context per run, so the raw state is as injective a key as state_key
+            yield h, (state[:h] + (mu - 1,) + state[h + 1 :], tuple(sorted(lowered)))
 
     # Depth-first over deletion chains with an explicit stack, so chains
-    # of any length fit; stack[i] is the state after i deletions, and
-    # each frame's ``child`` is the deletion it is exploring.
-    stack: list[_RefuterFrame] = []
+    # of any length fit; stack[i] is [key, pending deletions, whether any
+    # deletion passed, the deletion being explored] of the state after i
+    # deletions.
+    stack: list[list] = []
     chain: tuple[str, ...] | None = None
     try:
-        stack.append(enter(m.mult, exps))
+        engine.spend()
+        stack.append([(m.mult, exps), deletions(m.mult, exps), False, None])
         while stack:
-            frame = stack[-1]
-            if frame.total == 0:
+            entry = stack[-1]
+            key, pending = entry[0], entry[1]
+            if not any(key[0]):
                 # deletions from the top, reversed into build order
-                chain = tuple(labels[f.child[0]] for f in reversed(stack[:-1]))
+                chain = tuple(labels[e[3]] for e in reversed(stack[:-1]))
                 break
-            state, virtual = frame.state, frame.virtual
-            for h in range(frame.next_h, len(state)):
-                if not state[h]:
+            for h, child in pending:
+                entry[2] = True
+                if child in dead:
                     continue
-                target = frame.total - sum(ctx.euler_values(state, h))
-                if target < 1 or target not in virtual:
-                    continue
-                frame.admissible = True
-                lowered = list(virtual)
-                lowered.remove(target)
-                lowered.append(target - 1)
-                nxt_virtual = tuple(sorted(lowered))
-                child_state = state[:h] + (state[h] - 1,) + state[h + 1 :]
-                # one context per run, so the raw state is as injective a key as state_key
-                memo_key = (child_state, nxt_virtual)
-                if memo_key in dead:
-                    continue
-                frame.next_h = h + 1
-                frame.child = (h, memo_key)
-                stack.append(enter(child_state, nxt_virtual))
+                entry[3] = h
+                engine.spend()
+                max_depth = max(max_depth, len(stack))
+                stack.append([child, deletions(*child), False, None])
                 break
             else:
                 # every deletion from this state failed
-                if not frame.admissible:
+                if not entry[2]:
                     dead_ends += 1
                     if len(digests) < _DIGEST_CAP:
-                        digests.append(_digest(ctx, state, virtual))
+                        digests.append(_digest(ctx, *key))
                     else:
                         truncated = True
+                dead.add(key)
                 stack.pop()
-                if stack:
-                    dead.add(stack[-1].child[1])
     except BudgetExceeded:
         return RefutationReport("unknown", engine.nodes, dead_ends, max_depth, None, tuple(digests), truncated, budget)
     verdict = "refuted" if chain is None else "chain_found"
@@ -615,56 +596,54 @@ def additive_refuter(
 
 def table_rows(report: InductionReport) -> list[list]:
     """Certificate steps as JSON-ready rows [exp', label, exp'']."""
-    return [
-        [list(s.exponents_before), s.label, list(s.restriction_exponents)]
-        for s in report.steps
-    ]
+    return [[list(before), label, list(restricted)] for before, label, restricted in report.steps]
 
 
 def emit_induction_table(report: InductionReport) -> str:
     """Render a certificate as a three-column induction table."""
     if report.verdict != "yes":
         return f"verdict: {report.verdict} (nodes explored: {report.nodes})"
+
+    def braced(values) -> str:
+        return "{" + ", ".join(map(str, values)) + "}"
+
     header = ("exp(A', mu')", "alpha", "exp(A'', mu*)")
-    rows = [
-        (
-            "{" + ", ".join(map(str, s.exponents_before)) + "}",
-            s.label,
-            "{" + ", ".join(map(str, s.restriction_exponents)) + "}",
-        )
-        for s in report.steps
-    ]
+    rows = [(braced(before), label, braced(restricted)) for before, label, restricted in report.steps]
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c]) for c in range(3)]
     lines = []
     base_desc = ", ".join(f"{label}:{mu}" for label, mu in report.base) or "(empty)"
-    base_exps = "{" + ", ".join(map(str, report.base_exponents or ())) + "}"
-    lines.append(f"base [{base_desc}] with exponents {base_exps}")
+    lines.append(f"base [{base_desc}] with exponents {braced(report.base_exponents or ())}")
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     lines.append(fmt.format(*header))
     lines.append("  ".join("-" * w for w in widths))
     for r in rows:
         lines.append(fmt.format(*r))
-    lines.append(f"final exponents {{{', '.join(map(str, report.exponents or ()))}}}")
+    lines.append(f"final exponents {braced(report.exponents or ())}")
     return "\n".join(lines)
 
 
 def replay_addition_rows(
     m_target: MultiArrangement,
     start_exponents: tuple[int, ...],
-    rows: list[tuple[tuple[int, ...], str, tuple[int, ...]]],
+    rows: Sequence[tuple[tuple[int, ...], str, tuple[int, ...]]],
+    *,
+    session: Session | None = None,
 ) -> tuple[int, ...]:
     """Validate an addition table against the engine, row by row.
 
-    Starts from the target multiplicity minus all row additions, applies
-    each row's addition, recomputes the Euler restriction exponents from
-    scratch (by ``euler_multiplicity``, independently of the search
-    caches), and checks both printed columns.  A restriction of rank <= 2
-    gets its exponents from ``rank2_exponents``; one of higher rank must
-    be decided "yes" by a fresh search whose chain is then replayed the
-    same way.  The start exponents are checked too when the base has
-    rank <= 2.  Returns the final exponent multiset.  Raises ValueError
-    on the first mismatch.
+    Starts from the target multiplicity minus all row additions, checks
+    the start exponents against the base, applies each row's addition,
+    recomputes the Euler restriction exponents from scratch (by
+    ``euler_multiplicity``, independently of the search caches), and
+    checks both printed columns.  The base and every restriction of rank
+    <= 2 get their exponents from ``rank2_exponents``; one of higher rank
+    must be decided "yes" by a search on ``session`` whose chain is then
+    replayed the same way, so each distinct restriction is searched once
+    per session.  A call without a session starts a fresh one.  Returns
+    the final exponent multiset.  Raises ValueError on the first mismatch.
     """
+    if session is None:
+        session = Session()
     arr = m_target.arrangement
     state = list(m_target.mult)
     for _, label, _ in rows:
@@ -672,11 +651,12 @@ def replay_addition_rows(
     if any(v < 0 for v in state):
         raise ValueError("rows add more than the target multiplicity")
     current = tuple(sorted(start_exponents))
-    base = multi(arr, state)
-    if rank_of(base.arrangement) <= 2:
-        base_exps = _replayed_exponents(base)
-        if base_exps != current:
-            raise ValueError(f"base: expected exponents {base_exps}, table says {current}")
+    try:
+        base_exps = _replayed_exponents(multi(arr, state), session)
+    except ValueError as exc:
+        raise ValueError(f"base: {exc}") from None
+    if base_exps != current:
+        raise ValueError(f"base: expected exponents {base_exps}, table says {current}")
     for i, (before, label, restricted) in enumerate(rows):
         if tuple(sorted(before)) != current:
             raise ValueError(f"row {i}: expected exponents {current}, table says {tuple(sorted(before))}")
@@ -684,7 +664,7 @@ def replay_addition_rows(
         state[h0] += 1
         stage = multi(arr, state)
         stage_h0 = stage.arrangement.index_of_label(label)
-        computed = _replayed_exponents(euler_multiplicity(stage, stage_h0))
+        computed = _replayed_exponents(euler_multiplicity(stage, stage_h0), session)
         if tuple(sorted(restricted)) != computed:
             raise ValueError(f"row {i}: restriction exponents {computed}, table says {tuple(sorted(restricted))}")
         after = check_addition_step(current, computed)
@@ -696,18 +676,18 @@ def replay_addition_rows(
     return current
 
 
-def _replayed_exponents(m: MultiArrangement) -> tuple[int, ...]:
-    """exp(m), padded to its dimension, recomputed outside any search memo.
+def _replayed_exponents(m: MultiArrangement, session: Session) -> tuple[int, ...]:
+    """exp(m), padded to its dimension, recomputed by a replay.
 
     Rank <= 2 is solved directly.  Higher rank must be inductively free:
-    a fresh session decides it and its chain is replayed row by row.
+    the replay's session decides it and its chain is replayed row by row.
     """
     if rank_of(m.arrangement) <= 2:
         return _padded(rank2_exponents(m).exponents, m.arrangement.dim)
-    report = is_inductively_free(m, session=Session())
+    report = is_inductively_free(m, session=session)
     if report.verdict != "yes":
         raise ValueError(f"a rank-{rank_of(m.arrangement)} restriction is not inductively free ({report.verdict})")
-    return replay_addition_rows(m, report.base_exponents, table_rows(report))
+    return replay_addition_rows(m, report.base_exponents, report.steps, session=session)
 
 
 def _int_list(value) -> bool:

@@ -99,6 +99,17 @@ FIXTURE_DERIVATIONS = (
     ("g34_a2", "a1", "g34_a3_kappa_2"),
 )
 
+# Check 5: a simple arrangement that is not inductively free, and a
+# Ziegler restriction (spec, label of H0) that a localization
+# isomorphic to it obstructs
+NEGATIVE_SIMPLE = "A:3:3:0"
+NEGATIVE_ZIEGLER = ("A:3:5:1", "H_{1,2}(1)")
+# Check 6: Ziegler restrictions (spec, label of H0) and their exponents
+LOW_RANK_POSITIVE = (
+    ("A:3:4:1", "H_{1,2}(1)", (4, 7, 7)),
+    ("A:3:4:0", "H_{1,2}(1)", (4, 6, 7)),
+)
+
 TABLE_EXPONENTS = {
     "g33_a2_kappa": (7, 9, 11),
     "g34_a1a2_kappa": (13, 19, 23),
@@ -219,44 +230,44 @@ def _check_induction_tables() -> tuple[bool, str]:
     )
 
 
+def _spec_ziegler(spec_text: str, label: str) -> MultiArrangement:
+    arr = intermediate(parse_spec_string(spec_text))
+    return ziegler_multiplicity(arr, arr.index_of_label(label))
+
+
 def _check_negative_instances() -> tuple[bool, str]:
-    g333 = intermediate(parse_spec_string("A:3:3:0"))
+    simple = simple_multi(intermediate(parse_spec_string(NEGATIVE_SIMPLE)))
     t0 = time.monotonic()
-    rep = is_inductively_free(simple_multi(g333))
+    rep = is_inductively_free(simple)
     dt = time.monotonic() - t0
     if rep.verdict != "no":
-        return False, f"simple A:3:3:0 decided {rep.verdict}, expected no"
+        return False, f"simple {NEGATIVE_SIMPLE} decided {rep.verdict}, expected no"
     if dt >= 10.0:
-        return False, f"simple A:3:3:0 exhaustive no took {dt:.1f}s, bound is 10s"
+        return False, f"simple {NEGATIVE_SIMPLE} exhaustive no took {dt:.1f}s, bound is 10s"
 
-    parent = intermediate(parse_spec_string("A:3:5:1"))
-    zm = ziegler_multiplicity(parent, parent.index_of_label("H_{1,2}(1)"))
+    spec_text, label = NEGATIVE_ZIEGLER
+    zm = _spec_ziegler(spec_text, label)
     obs = localization_obstruction(zm, rank_limit=3)
     if obs.verdict != "obstructed" or obs.flat is None or obs.flat.rank != 3:
-        return False, f"A:3:5:1 Ziegler restriction: obstruction scan returned {obs.verdict}"
+        return False, f"{spec_text} Ziegler restriction: obstruction scan returned {obs.verdict}"
     loc = localize_multi(zm, obs.flat)
     if set(loc.mult) != {1}:
         return False, f"obstructing localization is not simple: {loc.mult}"
-    iso = find_linear_isomorphism(essentialize(loc), simple_multi(g333))
+    iso = find_linear_isomorphism(essentialize(loc), simple)
     if iso is None:
-        return False, "obstructing localization is not linearly isomorphic to A:3:3:0"
+        return False, f"obstructing localization is not linearly isomorphic to {NEGATIVE_SIMPLE}"
     return True, (
-        f"simple A:3:3:0 exhaustively not inductively free ({rep.nodes} states); "
-        f"Ziegler restriction of A:3:5:1 at H_{{1,2}}(1) obstructed by a rank-3 flat whose "
-        f"localization is simple and linearly isomorphic to A:3:3:0 "
+        f"simple {NEGATIVE_SIMPLE} exhaustively not inductively free ({rep.nodes} states); "
+        f"Ziegler restriction of {spec_text} at {label} obstructed by a rank-3 flat whose "
+        f"localization is simple and linearly isomorphic to {NEGATIVE_SIMPLE} "
         f"({obs.scanned} flats scanned)"
     )
 
 
 def _check_low_rank_positive() -> tuple[bool, str]:
-    cases = (
-        ("A:3:4:1", "H_{1,2}(1)", (4, 7, 7)),
-        ("A:3:4:0", "H_{1,2}(1)", (4, 6, 7)),
-    )
     notes = []
-    for spec_text, label, want in cases:
-        arr = intermediate(parse_spec_string(spec_text))
-        zm = ziegler_multiplicity(arr, arr.index_of_label(label))
+    for spec_text, label, want in LOW_RANK_POSITIVE:
+        zm = _spec_ziegler(spec_text, label)
         rep = is_inductively_free(zm)
         got = tuple(sorted(rep.exponents)) if rep.exponents else None
         if rep.verdict != "yes" or got != want:
@@ -273,13 +284,9 @@ def _criteria_multiarrangements() -> list[MultiArrangement]:
     for parent_name, h0_label, _target in FIXTURE_DERIVATIONS:
         parent = shipped_fixture(parent_name)
         out.append(ziegler_multiplicity(parent.arrangement, parent.arrangement.index_of_label(h0_label)))
-    g333 = intermediate(parse_spec_string("A:3:3:0"))
-    out.append(simple_multi(g333))
-    a51 = intermediate(parse_spec_string("A:3:5:1"))
-    out.append(ziegler_multiplicity(a51, a51.index_of_label("H_{1,2}(1)")))
-    for spec_text in ("A:3:4:1", "A:3:4:0"):
-        arr = intermediate(parse_spec_string(spec_text))
-        out.append(ziegler_multiplicity(arr, arr.index_of_label("H_{1,2}(1)")))
+    out.append(simple_multi(intermediate(parse_spec_string(NEGATIVE_SIMPLE))))
+    out.append(_spec_ziegler(*NEGATIVE_ZIEGLER))
+    out.extend(_spec_ziegler(spec_text, label) for spec_text, label, _ in LOW_RANK_POSITIVE)
     return out
 
 

@@ -19,7 +19,6 @@ from multiarr.arrangement import (
     hyperplane_flat,
     intersection_lattice,
     linear_form,
-    localization,
     localize_multi,
     multi,
     rank_of,
@@ -187,7 +186,7 @@ def test_localization_keeps_multiplicities(g333) -> None:
     loc = localize_multi(m, flat)
     assert loc.arrangement.hyperplanes == tuple(g333.hyperplanes[i] for i in flat.closed)
     assert loc.mult == tuple(i + 1 for i in flat.closed)
-    assert localization(g333, flat) == loc.arrangement
+    assert loc.arrangement.labels == tuple(g333.labels[i] for i in flat.closed)
 
 
 def test_essentialize_drops_to_the_rank(g333) -> None:

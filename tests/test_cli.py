@@ -113,12 +113,27 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
         # whose support misses some restricted hyperplanes
         (["indfree", "--spec", "A:3:4:4"], "dc91622b62e3a695ae3d80e4f84360062765967376895e971a47461a545f76c8"),
         (["hereditary", "--spec", "A:2:4:4"], "c4e09cf841647234729c05987c3b83db2447d48d40893a4d8b2d0acf914549c1"),
+        # taken at the parent commit of the generator-driven refuter: the
+        # budget cut (101 explored, 24 dead ends) and two exhaustive g34
+        # refutations (3,209 / 305 and 2,139 / 313)
+        (
+            ["refute", "--fixture", "g33_a2_kappa", "--exponents", "8 8 11", "--budget", "100"],
+            "87208791cf152dd1d77bdd179da9124b6f9dc63ba47a8fd3d51499f5e9a661eb",
+        ),
+        (
+            ["refute", "--fixture", "g34_g333_kappa", "--exponents", "14 15 19"],
+            "6059478b07cd8bbfdf7dc5b0f2ae7fa21c57c58b357794b7ebba28763dfe04eb",
+        ),
+        (
+            ["refute", "--fixture", "g34_a1a2_kappa", "--exponents", "14 18 23"],
+            "0338978d7b8cc0d388d6f5d2fd5b7ac3dea216c2b73e88549b68e790c3fb4416",
+        ),
     ],
 )
 def test_scalar_json_bytes_are_pinned(capsys, argv, digest) -> None:
     code, out, _ = run_cli(capsys, [*argv, "--json"])
-    # a refutation exits 2, every other answer here 0
-    assert code == (2 if json.loads(out)["status"] == "refuted" else 0)
+    # a refutation exits 2, an unknown 3, every other answer here 0
+    assert code == {"refuted": 2, "unknown": 3}.get(json.loads(out)["status"], 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

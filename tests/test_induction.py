@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from multiarr.arrangement import arrangement, multi, simple_multi, ziegler_multiplicity
+from multiarr import induction
+from multiarr.arrangement import arrangement, multi, rank_of, simple_multi, ziegler_multiplicity
 from multiarr.catalog import intermediate, parse_fixture, parse_spec_string, shipped_fixture
 from multiarr.induction import (
     DEFAULT_BUDGET,
@@ -22,6 +23,7 @@ from multiarr.induction import (
     is_inductively_free,
     localization_obstruction,
     replay_addition_rows,
+    replay_table,
     table_rows,
 )
 from multiarr.rank2 import canonical_plane, euler_multiplicity, euler_pattern, indexed_plane
@@ -46,13 +48,14 @@ def test_braid_certificate() -> None:
     assert tuple(sorted(rep.exponents)) == (1, 2, 3)
     assert rep.nodes == 6
     assert len(rep.steps) == 4
-    # the chain is internally consistent step to step
+    # the chain is internally consistent step to step: each step's
+    # addition leads to the next step's exponents, the last to the answer
     assert rep.steps[0].exponents_before == rep.base_exponents
-    for a, b in zip(rep.steps, rep.steps[1:]):
-        assert a.exponents_after == b.exponents_before
-    assert rep.steps[-1].exponents_after == rep.exponents
-    for s in rep.steps:
-        assert check_addition_step(s.exponents_before, s.restriction_exponents) == s.exponents_after
+    afters = [check_addition_step(s.exponents_before, s.restriction_exponents) for s in rep.steps]
+    assert afters[:-1] == [s.exponents_before for s in rep.steps[1:]]
+    assert afters[-1] == rep.exponents
+    # a step is its table row
+    assert table_rows(rep) == [[list(a), label, list(b)] for a, label, b in rep.steps]
     # base: a rank-2 seed whose multiplicities the steps complete
     assert sum(m for _, m in rep.base) + len(rep.steps) == 6
 
@@ -110,7 +113,7 @@ def test_once_sorted_planes_are_canonical(make) -> None:
     # restricted arrangement and the support of its Euler values
     state = m.mult
     for step in reversed(rep.steps):
-        h0 = step.index
+        h0 = m.arrangement.index_of_label(step.label)
         values = ctx.euler_values(state, h0)
         gids = tuple(g for g, v in enumerate(values) if v)
         if len(gids) > 1:
@@ -194,10 +197,11 @@ def test_restriction_routes_agree(make) -> None:
     # the search's route (Euler values read through its memo, the
     # restriction searched as a state of the restricted context, zeros
     # kept) against the replay route (euler_multiplicity of the support,
-    # solved or searched and replayed on a fresh session)
+    # solved or searched and replayed on a session of its own)
     m = make()
     arr = m.arrangement
     engine = _Engine(Session(), DEFAULT_BUDGET)
+    replay = Session()
     ctx = engine.session.context(arr)
     rng = random.Random(9)
     verdicts = set()
@@ -209,11 +213,11 @@ def test_restriction_routes_agree(make) -> None:
             em = euler_multiplicity(support, support.arrangement.index_of_label(arr.labels[h]))
             verdicts.add(verdict)
             if verdict == "yes":
-                assert _replayed_exponents(em) == exps
+                assert _replayed_exponents(em, replay) == exps
             else:
                 assert verdict == "no"
                 with pytest.raises(ValueError, match="not inductively free"):
-                    _replayed_exponents(em)
+                    _replayed_exponents(em, replay)
     assert "yes" in verdicts
     # a certificate's restriction exponents are derived from the memo's
     # exponent sets; the search route must give the same for every row
@@ -221,7 +225,7 @@ def test_restriction_routes_agree(make) -> None:
     assert rep.verdict == "yes" and rep.steps
     state = m.mult
     for step in reversed(rep.steps):
-        h = step.index
+        h = arr.index_of_label(step.label)
         assert engine.restriction_exponents(ctx, state, h, ctx.euler_values(state, h)) == ("yes", step.restriction_exponents)
         state = state[:h] + (state[h] - 1,) + state[h + 1 :]
 
@@ -293,6 +297,43 @@ def test_certificate_replays_row_by_row() -> None:
         replay_addition_rows(zm, rep.base_exponents, rows[:-1])
     with pytest.raises(ValueError, match="add more than"):
         replay_addition_rows(zm, rep.base_exponents, rows + [rows[-1]])
+
+    # the base is proven at every rank: without its first row the
+    # certificate starts at a rank-3 base, which the replay searches
+    state = list(zm.mult)
+    for _, label, _ in rows[1:]:
+        state[zm.arrangement.index_of_label(label)] -= 1
+    assert rank_of(multi(zm.arrangement, state).arrangement) == 3
+    assert replay_addition_rows(zm, rows[1][0], rows[1:]) == (4, 6, 7)
+    with pytest.raises(ValueError, match="base: expected exponents"):
+        replay_addition_rows(zm, (0, 0, 17), [])
+
+
+@pytest.mark.parametrize("spec", ["A:2:4:4", "A:3:4:4"])
+def test_replay_searches_each_restriction_once(monkeypatch, spec) -> None:
+    # one replay runs on one session, so a rank >= 3 restriction equal in
+    # content to one searched before is read from its memo
+    m = spec_simple(spec)
+    rep = is_inductively_free(m)
+    doc = {"start_exponents": list(rep.base_exponents), "rows": table_rows(rep), "final_exponents": list(rep.exponents)}
+    calls: list[tuple[tuple, int]] = []
+    search = induction.is_inductively_free
+
+    def counted(sub, *args, **kwargs):
+        report = search(sub, *args, **kwargs)
+        calls.append((sub.key(), report.nodes))
+        return report
+
+    monkeypatch.setattr(induction, "is_inductively_free", counted)
+    replay_table(m, doc)
+    seen: set[tuple] = set()
+    repeats = 0
+    for key, nodes in calls:
+        if key in seen:
+            repeats += 1
+            assert nodes == 0
+        seen.add(key)
+    assert repeats > 0
 
 
 def test_table_rendering() -> None:
