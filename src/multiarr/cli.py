@@ -39,6 +39,7 @@ from .catalog import (
 )
 from .induction import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     additive_refuter,
     emit_induction_table,
     hereditarily_inductively_free,
@@ -391,7 +392,9 @@ def _cmd_table(args) -> int:
         else:
             raise CommandError("the table does not name its fixture; pass --fixture/--spec")
         try:
-            rows, final = replay_table(m, doc)
+            rows, final = replay_table(m, doc, args.budget)
+        except BudgetExceeded:
+            return _emit(args, "unknown", {"input": name, "table": source}, f"{source}: undecided within the budget of {args.budget} states")
         except ValueError as exc:
             raise CommandError(f"{source}: {exc}") from None
         payload = {
@@ -492,8 +495,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_refute)
 
     p = add("table", "emit an addition table, or replay one against its fixture", search=True)
-    p.add_argument("--replay", metavar="FILE", help="JSON table or indfree --json output to replay")
-    p.add_argument("--shipped-table", metavar="NAME", help="replay a table shipped with the package")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--replay", metavar="FILE", help="JSON table or indfree --json output to replay")
+    g.add_argument("--shipped-table", metavar="NAME", help="replay a table shipped with the package")
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("verify-paper", help="run the bundled acceptance checks", description="Run the bundled acceptance checks; any failure makes the exit code nonzero.")

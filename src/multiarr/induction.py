@@ -43,7 +43,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import linalg
 from .arrangement import (
     Arrangement,
     Flat,
@@ -59,7 +58,7 @@ from .rank2 import (
     euler_multiplicity,
     euler_pattern,
     indexed_plane,
-    plane_exponent_pair,
+    pair_for,
     rank2_exponents,
 )
 
@@ -86,7 +85,7 @@ DEFAULT_BUDGET = 1_000_000
 
 
 class BudgetExceeded(Exception):
-    """Raised internally when the node budget is spent."""
+    """Raised when the node budget is spent: inside a search, and out of a replay."""
 
 
 def check_addition_step(before: tuple[int, ...], restricted: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -122,7 +121,8 @@ def _padded(values: tuple[int, ...] | list[int], size: int) -> tuple[int, ...]:
 
 
 class _Context:
-    """Per-arrangement caches of one session: form keys, ranks, Euler values."""
+    """Per-arrangement state of one session: form keys, Euler values, and
+    low-rank exponents read from the rank-2 flats of the Euler patterns."""
 
     def __init__(self, arr: Arrangement) -> None:
         self.arr = arr
@@ -136,7 +136,6 @@ class _Context:
         # the form keys are distinct, so one sort orders every state key
         order = sorted(range(self.n), key=self.form_keys.__getitem__)
         self._key_order = tuple((i, self.form_keys[i]) for i in order)
-        self._ranks: dict[frozenset[int], int] = {}
         self._euler_values: dict = {}
 
     def state_key(self, state: tuple[int, ...]) -> tuple:
@@ -153,16 +152,23 @@ class _Context:
         keys = [f.sort_key() for f in self.arr.hyperplanes]
         return tuple(sorted(enumerate(keys), key=lambda p: p[1]))
 
-    def support(self, state: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(state) if m)
+    def low_rank_exponents(self, state: tuple[int, ...]) -> tuple[int, ...] | None:
+        """Exponents of a state of rank <= 2, padded to dim; None for rank >= 3.
 
-    def rank(self, support: tuple[int, ...]) -> int:
-        key = frozenset(support)
-        cached = self._ranks.get(key)
-        if cached is None:
-            cached = linalg.rank([self.arr.hyperplanes[i].coeffs for i in support], self.dim)
-            self._ranks[key] = cached
-        return cached
+        A support of two or more hyperplanes has rank 2 exactly when it
+        lies in the rank-2 flat through its first two.  The flat's plane,
+        less lines of multiplicity 0, is then the support's own: plane
+        coordinates depend only on the row space, which is the flat's.
+        """
+        support = [i for i, m in enumerate(state) if m]
+        if len(support) < 2:
+            return _padded((sum(state),), self.dim)
+        pat = euler_pattern(self.arr, support[0])
+        flat = pat.flats[pat.trace[support[1]]]
+        if sum(state[p] for p in flat) != sum(state):
+            return None
+        plane = tuple((line, state[p]) for line, p in indexed_plane(self.arr, flat))
+        return _padded(pair_for(plane, self.order), self.dim)
 
     def euler_values(self, state: tuple[int, ...], h0: int) -> tuple[int, ...]:
         """The state's Euler restriction at h0, as a state of the restriction.
@@ -235,26 +241,16 @@ class _Engine:
             key=lambda i: (x[i] - target[i], target[i], i),
         )
 
-    def low_rank_exponents(self, ctx: _Context, state: tuple[int, ...], support: tuple[int, ...], rk: int) -> tuple[int, ...]:
-        if rk <= 1:
-            return _padded((sum(state[i] for i in support),), ctx.dim)
-        plane = tuple((line, state[i]) for line, i in indexed_plane(ctx.arr, support))
-        pair = plane_exponent_pair(plane, ctx.order)
-        return _padded(pair, ctx.dim)
-
-    def restriction_exponents(
-        self, ctx: _Context, state: tuple[int, ...], h0: int, restricted: tuple[int, ...]
-    ) -> tuple[str, tuple[int, ...] | None]:
+    def restriction_exponents(self, ctx: _Context, h0: int, restricted: tuple[int, ...]) -> tuple[str, tuple[int, ...] | None]:
         """Verdict and exponents (padded to dim-1) of the Euler restriction.
 
         ``restricted`` is ``ctx.euler_values(state, h0)``, a state of the
-        restricted arrangement's own context.  Its rank is that of the
-        state's support less one, since h0 is in the support.
+        restricted arrangement's own context; rank <= 2 spends no node.
         """
         sub_ctx = self.session.context(euler_pattern(ctx.arr, h0).arrangement)
-        rk = ctx.rank(ctx.support(state)) - 1
-        if rk <= 2:
-            return "yes", self.low_rank_exponents(sub_ctx, restricted, sub_ctx.support(restricted), rk)
+        exps = sub_ctx.low_rank_exponents(restricted)
+        if exps is not None:
+            return "yes", exps
         return self.decide(sub_ctx, restricted)
 
     def decide(self, ctx: _Context, target: tuple[int, ...]) -> tuple[str, tuple[int, ...] | None]:
@@ -265,11 +261,9 @@ class _Engine:
             return "yes", hit[0]
         if key in no:
             return "no", None
-        support = ctx.support(target)
-        rk = ctx.rank(support)
-        if rk <= 2:
+        exps = ctx.low_rank_exponents(target)
+        if exps is not None:
             self.spend()
-            exps = self.low_rank_exponents(ctx, target, support, rk)
             yes[key] = (exps, None)
             return "yes", exps
 
@@ -299,26 +293,22 @@ class _Engine:
                 prior = yes.get(y_key)
                 if prior is not None:
                     y_exps = prior[0]
+                elif (y_exps := ctx.low_rank_exponents(y)) is not None:
+                    yes[y_key] = (y_exps, None)
                 else:
-                    y_support = ctx.support(y)
-                    y_rk = ctx.rank(y_support)
-                    if y_rk <= 2:
-                        y_exps = self.low_rank_exponents(ctx, y, y_support, y_rk)
-                        yes[y_key] = (y_exps, None)
-                    else:
-                        # sound size prefilter: exps(y) = exps(restriction) + {b + 1},
-                        # where the leftover b = |mu_x| - |mu*| must be in exps(x)
-                        restricted = ctx.euler_values(y, h)
-                        if sum(x) - sum(restricted) not in x_exps:
-                            continue
-                        r_verdict, r_exps = self.restriction_exponents(ctx, y, h, restricted)
-                        if r_verdict != "yes":
-                            continue
-                        assert r_exps is not None
-                        y_exps = check_addition_step(x_exps, r_exps)
-                        if y_exps is None:
-                            continue
-                        yes[y_key] = (y_exps, ctx.form_keys[h])
+                    # sound size prefilter: exps(y) = exps(restriction) + {b + 1},
+                    # where the leftover b = |mu_x| - |mu*| must be in exps(x)
+                    restricted = ctx.euler_values(y, h)
+                    if sum(x) - sum(restricted) not in x_exps:
+                        continue
+                    r_verdict, r_exps = self.restriction_exponents(ctx, h, restricted)
+                    if r_verdict != "yes":
+                        continue
+                    assert r_exps is not None
+                    y_exps = check_addition_step(x_exps, r_exps)
+                    if y_exps is None:
+                        continue
+                    yes[y_key] = (y_exps, ctx.form_keys[h])
                 if y == target:
                     return "yes", y_exps
                 visited.add(y)
@@ -352,7 +342,6 @@ class InductionReport:
     base: tuple[tuple[str, int], ...]
     base_exponents: tuple[int, ...] | None
     nodes: int
-    budget: int
 
 
 def is_inductively_free(
@@ -378,9 +367,9 @@ def is_inductively_free(
     try:
         verdict, exps = engine.decide(ctx, state)
     except BudgetExceeded:
-        return InductionReport("unknown", None, (), (), None, engine.nodes, budget)
+        return InductionReport("unknown", None, (), (), None, engine.nodes)
     if verdict != "yes":
-        return InductionReport("no", None, (), (), None, engine.nodes, budget)
+        return InductionReport("no", None, (), (), None, engine.nodes)
 
     # Each row is read from the memo, with no search and no budget spent:
     # exp(A, mu) is exp(A', mu') with one value b raised to b + 1, so b is
@@ -402,7 +391,7 @@ def is_inductively_free(
     steps.reverse()
     base = tuple((m.arrangement.labels[i], mu) for i, mu in enumerate(cur) if mu)
     base_exps = yes[ctx.state_key(cur)][0]
-    return InductionReport("yes", exps, tuple(steps), base, base_exps, engine.nodes, budget)
+    return InductionReport("yes", exps, tuple(steps), base, base_exps, engine.nodes)
 
 
 @dataclass(frozen=True)
@@ -411,35 +400,28 @@ class ObstructionReport:
 
     verdict: str  # "obstructed" | "clear" | "unknown"
     flat: Flat | None
-    flat_labels: tuple[str, ...]
     scanned: int
-    unknown_flats: int
 
 
-def localization_obstruction(
-    m: MultiArrangement, rank_limit: int = 3, budget: int = DEFAULT_BUDGET
-) -> ObstructionReport:
-    """First flat (canonical order) whose localization is not inductively free.
+def localization_obstruction(m: MultiArrangement, budget: int = DEFAULT_BUDGET) -> ObstructionReport:
+    """First rank-3 flat (canonical order) whose localization is not inductively free.
 
     Inductive freeness passes to localizations, so a single obstructed
     flat decides the whole multiarrangement negatively.  Flats of rank
     <= 2 are always clear and are skipped.
     """
-    arr = m.arrangement
     session = Session()
     scanned = 0
-    unknown = 0
-    for flat in intersection_lattice(arr, rank_limit):
+    unknown = False
+    for flat in intersection_lattice(m.arrangement, 3):
         if flat.rank < 3:
             continue
         scanned += 1
         report = is_inductively_free(localize_multi(m, flat), budget, session=session)
         if report.verdict == "no":
-            labels = tuple(arr.labels[i] for i in flat.closed)
-            return ObstructionReport("obstructed", flat, labels, scanned, unknown)
-        if report.verdict == "unknown":
-            unknown += 1
-    return ObstructionReport("clear" if not unknown else "unknown", None, (), scanned, unknown)
+            return ObstructionReport("obstructed", flat, scanned)
+        unknown = unknown or report.verdict == "unknown"
+    return ObstructionReport("unknown" if unknown else "clear", None, scanned)
 
 
 @dataclass(frozen=True)
@@ -487,7 +469,6 @@ class RefutationReport:
     chain: tuple[str, ...] | None
     dead_end_digests: tuple[str, ...]
     digests_truncated: bool
-    budget: int
 
 
 _DIGEST_CAP = 10_000
@@ -589,9 +570,9 @@ def additive_refuter(
                 dead.add(key)
                 stack.pop()
     except BudgetExceeded:
-        return RefutationReport("unknown", engine.nodes, dead_ends, max_depth, None, tuple(digests), truncated, budget)
+        return RefutationReport("unknown", engine.nodes, dead_ends, max_depth, None, tuple(digests), truncated)
     verdict = "refuted" if chain is None else "chain_found"
-    return RefutationReport(verdict, engine.nodes, dead_ends, max_depth, chain, tuple(digests), truncated, budget)
+    return RefutationReport(verdict, engine.nodes, dead_ends, max_depth, chain, tuple(digests), truncated)
 
 
 def table_rows(report: InductionReport) -> list[list]:
@@ -628,6 +609,7 @@ def replay_addition_rows(
     rows: Sequence[tuple[tuple[int, ...], str, tuple[int, ...]]],
     *,
     session: Session | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, ...]:
     """Validate an addition table against the engine, row by row.
 
@@ -639,8 +621,9 @@ def replay_addition_rows(
     <= 2 get their exponents from ``rank2_exponents``; one of higher rank
     must be decided "yes" by a search on ``session`` whose chain is then
     replayed the same way, so each distinct restriction is searched once
-    per session.  A call without a session starts a fresh one.  Returns
-    the final exponent multiset.  Raises ValueError on the first mismatch.
+    per session, within ``budget`` states or else BudgetExceeded.  A call
+    without a session starts a fresh one.  Returns the final exponent
+    multiset.  Raises ValueError on the first mismatch.
     """
     if session is None:
         session = Session()
@@ -652,7 +635,7 @@ def replay_addition_rows(
         raise ValueError("rows add more than the target multiplicity")
     current = tuple(sorted(start_exponents))
     try:
-        base_exps = _replayed_exponents(multi(arr, state), session)
+        base_exps = _replayed_exponents(multi(arr, state), session, budget)
     except ValueError as exc:
         raise ValueError(f"base: {exc}") from None
     if base_exps != current:
@@ -664,7 +647,7 @@ def replay_addition_rows(
         state[h0] += 1
         stage = multi(arr, state)
         stage_h0 = stage.arrangement.index_of_label(label)
-        computed = _replayed_exponents(euler_multiplicity(stage, stage_h0), session)
+        computed = _replayed_exponents(euler_multiplicity(stage, stage_h0), session, budget)
         if tuple(sorted(restricted)) != computed:
             raise ValueError(f"row {i}: restriction exponents {computed}, table says {tuple(sorted(restricted))}")
         after = check_addition_step(current, computed)
@@ -676,7 +659,7 @@ def replay_addition_rows(
     return current
 
 
-def _replayed_exponents(m: MultiArrangement, session: Session) -> tuple[int, ...]:
+def _replayed_exponents(m: MultiArrangement, session: Session, budget: int) -> tuple[int, ...]:
     """exp(m), padded to its dimension, recomputed by a replay.
 
     Rank <= 2 is solved directly.  Higher rank must be inductively free:
@@ -684,10 +667,12 @@ def _replayed_exponents(m: MultiArrangement, session: Session) -> tuple[int, ...
     """
     if rank_of(m.arrangement) <= 2:
         return _padded(rank2_exponents(m).exponents, m.arrangement.dim)
-    report = is_inductively_free(m, session=session)
+    report = is_inductively_free(m, budget, session=session)
+    if report.verdict == "unknown":
+        raise BudgetExceeded
     if report.verdict != "yes":
         raise ValueError(f"a rank-{rank_of(m.arrangement)} restriction is not inductively free ({report.verdict})")
-    return replay_addition_rows(m, report.base_exponents, report.steps, session=session)
+    return replay_addition_rows(m, report.base_exponents, report.steps, session=session, budget=budget)
 
 
 def _int_list(value) -> bool:
@@ -714,21 +699,22 @@ def table_shape_error(doc) -> str | None:
 
 
 def replay_table(
-    m: MultiArrangement, doc
+    m: MultiArrangement, doc, budget: int = DEFAULT_BUDGET
 ) -> tuple[list[tuple[tuple[int, ...], str, tuple[int, ...]]], tuple[int, ...]]:
     """Replay an addition-table document against m: its rows and final exponents.
 
     ``doc`` is a JSON object with integer ``start_exponents``, rows
     ``[exponents, label, exponents]`` as :func:`table_rows` writes them,
     and optionally integer ``final_exponents``, which the replay must
-    end at.  Raises ValueError on a malformed document or a failed replay.
+    end at.  Raises ValueError on a malformed document or a failed replay,
+    BudgetExceeded when a search of the replay runs past ``budget``.
     """
     problem = table_shape_error(doc)
     if problem is not None:
         raise ValueError(problem)
     rows = [(tuple(a), label, tuple(b)) for a, label, b in doc["rows"]]
     try:
-        final = replay_addition_rows(m, tuple(doc["start_exponents"]), rows)
+        final = replay_addition_rows(m, tuple(doc["start_exponents"]), rows, budget=budget)
     except (ValueError, KeyError) as exc:
         raise ValueError(f"replay failed: {exc}") from None
     expected = doc.get("final_exponents")

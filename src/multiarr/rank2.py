@@ -42,6 +42,7 @@ __all__ = [
     "euler_value_shortcut",
     "indexed_plane",
     "is_saito_basis",
+    "pair_for",
     "plane_coordinates",
     "plane_exponent_pair",
     "plane_exponents",
@@ -114,9 +115,10 @@ def indexed_plane(arr: Arrangement, indices: tuple[int, ...]) -> Plane:
 
     Each line carries its hyperplane index in place of a multiplicity,
     so the one order found serves every multiplicity vector.  Planes
-    are made only here, and its cache is the one store of them: rank-2
-    flats, localizations, rank-2 search states and restrictions all
-    read their lines here.
+    are made only here, and its cache is the one store of them.
+    ``indices`` is always the closed set of a rank-2 flat: one of the
+    :attr:`EulerPattern.flats`, which Euler values and the exponents of
+    rank-2 search states read, or a whole rank-2 arrangement.
     """
     rows = [arr.hyperplanes[p].coeffs for p in indices]
     return canonical_plane(zip(plane_coordinates(rows, arr.dim, arr.zeta_order), indices))
@@ -450,7 +452,7 @@ def euler_value_shortcut(m0: int, others: tuple[int, ...]) -> int | None:
     return None
 
 
-def _pair_for(plane: Plane, order: int) -> tuple[int, int]:
+def pair_for(plane: Plane, order: int) -> tuple[int, int]:
     """Exponent pair of a canonical plane system that may have rank < 2.
 
     Zero multiplicities are dropped; the lines of a plane are distinct,
@@ -476,8 +478,8 @@ def common_value(plane: Plane, h0: int, order: int) -> int:
     than guessing.
     """
     line, m0 = plane[h0]
-    full = _pair_for(plane, order)
-    deleted = _pair_for(plane[:h0] + ((line, m0 - 1),) + plane[h0 + 1 :], order)
+    full = pair_for(plane, order)
+    deleted = pair_for(plane[:h0] + ((line, m0 - 1),) + plane[h0 + 1 :], order)
     s1 = {e for e in full if e}
     s2 = {e for e in deleted if e}
     shared = s1 & s2
@@ -492,21 +494,22 @@ class EulerPattern:
     ``arrangement`` is the restriction A'' to h0, and ``groups[gid]``
     lists the parent hyperplanes that restrict onto its hyperplane gid;
     ``mults[gid]`` reads the multiplicities of h0 and of that group's
-    members from a parent multiplicity vector.  Together with h0 each
-    group spans a rank-2 localization A_Y.  Its canonical (line, index)
-    plane is the same for every h0 in A_Y, so it is read from
-    :func:`indexed_plane` on the flat's sorted indices whenever a value
-    needs it; that cache is its one store.
+    members from a parent multiplicity vector, and ``trace[p]`` is the
+    gid of parent p (None for h0).  ``flats[gid]``, h0 and the group
+    sorted, is the closed set of a rank-2 flat Y: the same key for every
+    h0 in Y, under which :func:`indexed_plane` keeps Y's one plane.
     """
 
-    __slots__ = ("parent", "h0", "arrangement", "groups", "mults")
+    __slots__ = ("parent", "h0", "arrangement", "trace", "groups", "flats", "mults")
 
     def __init__(self, parent: Arrangement, h0: int) -> None:
         res = restriction(parent, hyperplane_flat(parent, h0))
         self.parent = parent
         self.h0 = h0
         self.arrangement = res.arrangement
+        self.trace = res.trace
         self.groups = res.groups
+        self.flats = tuple(tuple(sorted((h0, *members))) for members in res.groups)
         self.mults = tuple(operator.itemgetter(h0, *members) for members in res.groups)
 
     def value(self, gid: int, mult: Sequence[int]) -> int:
@@ -521,7 +524,7 @@ class EulerPattern:
             return 0
         value = euler_value_shortcut(mult[self.h0], others)
         if value is None:
-            lines = indexed_plane(self.parent, tuple(sorted((*self.groups[gid], self.h0))))
+            lines = indexed_plane(self.parent, self.flats[gid])
             at = [p for _, p in lines].index(self.h0)
             value = common_value(tuple((line, mult[p]) for line, p in lines), at, self.parent.zeta_order)
         return value

@@ -247,7 +247,7 @@ def _check_negative_instances() -> tuple[bool, str]:
 
     spec_text, label = NEGATIVE_ZIEGLER
     zm = _spec_ziegler(spec_text, label)
-    obs = localization_obstruction(zm, rank_limit=3)
+    obs = localization_obstruction(zm)
     if obs.verdict != "obstructed" or obs.flat is None or obs.flat.rank != 3:
         return False, f"{spec_text} Ziegler restriction: obstruction scan returned {obs.verdict}"
     loc = localize_multi(zm, obs.flat)

@@ -8,6 +8,7 @@ import itertools
 import json
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ from multiarr import verification
 from multiarr.catalog import parse_fixture, shipped_fixture, shipped_table
 from multiarr.cli import main
 from multiarr.rank2 import euler_multiplicity
+
+
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def run_cli(capsys, argv: list[str], stdin_text: str | None = None):
@@ -277,6 +281,32 @@ def test_shipped_table_replay(capsys) -> None:
     assert payload["final_exponents"] == [7, 9, 11]
     code, _, err = run_cli(capsys, ["table", "--shipped-table", "nope"])
     assert code == 1 and "no shipped table" in err
+
+
+def test_replay_and_shipped_table_exclude_each_other(capsys) -> None:
+    argv = ["table", "--replay", str(DATA / "a444_kappa.json"), "--shipped-table", "g33_a2_kappa", "--json"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert "not allowed with argument --replay" in err
+
+
+def test_replay_searches_keep_the_budget(capsys) -> None:
+    # the base of this table is a rank-3 search of 1,089 states
+    code, out, _ = run_cli(capsys, ["table", "--shipped-table", "g34_a1a2_kappa", "--budget", "5", "--json"])
+    assert code == 3
+    assert json.loads(out) == {"status": "unknown", "payload": {"input": "g34_a1a2_kappa", "table": "g34_a1a2_kappa"}}
+    code, out, _ = run_cli(capsys, ["table", "--shipped-table", "g34_a1a2_kappa", "--budget", "5"])
+    assert code == 3 and "undecided within the budget of 5 states" in out
+    # a replay that searches nothing spends no budget
+    argv = ["table", "--replay", str(DATA / "a444_kappa.json"), "--fixture", str(DATA / "a444_kappa.arr")]
+    code, out, _ = run_cli(capsys, [*argv, "--budget", "1", "--json"])
+    assert code == 0
+    assert payload_of(out) == {
+        "final_exponents": [5, 9, 13],
+        "input": str(DATA / "a444_kappa.arr"),
+        "rows": 20,
+        "table": str(DATA / "a444_kappa.json"),
+    }
 
 
 def test_emitted_table_replays(capsys, tmp_path) -> None:

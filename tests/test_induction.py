@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from multiarr import induction
+from multiarr import induction, linalg
 from multiarr.arrangement import arrangement, multi, rank_of, simple_multi, ziegler_multiplicity
-from multiarr.catalog import intermediate, parse_fixture, parse_spec_string, shipped_fixture
+from multiarr.catalog import intermediate, parse_fixture, parse_spec_string, shipped_fixture, shipped_table
 from multiarr.induction import (
     DEFAULT_BUDGET,
     Session,
@@ -26,7 +26,7 @@ from multiarr.induction import (
     replay_table,
     table_rows,
 )
-from multiarr.rank2 import canonical_plane, euler_multiplicity, euler_pattern, indexed_plane
+from multiarr.rank2 import canonical_plane, euler_multiplicity, euler_pattern, indexed_plane, plane_exponent_pair
 
 
 def spec_simple(text: str):
@@ -97,8 +97,11 @@ def test_once_sorted_planes_are_canonical(make) -> None:
     # them all; the search has built those its shortcuts missed on
     by_flat: dict[tuple[int, ...], list[int]] = {}
     for h0 in range(ctx.n):
-        for members in euler_pattern(ctx.arr, h0).groups:
-            by_flat.setdefault(tuple(sorted((*members, h0))), []).append(h0)
+        pat = euler_pattern(ctx.arr, h0)
+        assert pat.flats == tuple(tuple(sorted((*members, h0))) for members in pat.groups)
+        for gid, flat in enumerate(pat.flats):
+            assert all(pat.trace[p] == gid for p in flat if p != h0) and pat.trace[h0] is None
+            by_flat.setdefault(flat, []).append(h0)
     assert all(through == list(flat) for flat, through in by_flat.items())
     assert any(len(flat) > 2 for flat in by_flat)
     hits = indexed_plane.cache_info().hits
@@ -109,16 +112,20 @@ def test_once_sorted_planes_are_canonical(make) -> None:
         assert sorted(p for _, p in lines) == list(flat)
         planes.append(lines)
     assert indexed_plane.cache_info().hits > hits + len(by_flat)
-    # a rank-2 restriction's plane comes from the same cache, keyed by the
-    # restricted arrangement and the support of its Euler values
+    # a rank-2 restriction reads the plane of its flat, the one through
+    # the first two hyperplanes of its support, from the same cache
     state = m.mult
     for step in reversed(rep.steps):
         h0 = m.arrangement.index_of_label(step.label)
         values = ctx.euler_values(state, h0)
         gids = tuple(g for g, v in enumerate(values) if v)
         if len(gids) > 1:
+            sub = euler_pattern(ctx.arr, h0).arrangement
+            pat = euler_pattern(sub, gids[0])
+            flat = pat.flats[pat.trace[gids[1]]]
+            assert set(gids) <= set(flat)
             hits = indexed_plane.cache_info().hits
-            lines = indexed_plane(euler_pattern(ctx.arr, h0).arrangement, gids)
+            lines = indexed_plane(sub, flat)
             assert indexed_plane.cache_info().hits == hits + 1
             planes.append(lines)
         state = state[:h0] + (state[h0] - 1,) + state[h0 + 1 :]
@@ -208,16 +215,16 @@ def test_restriction_routes_agree(make) -> None:
     for _ in range(6):
         y = tuple(rng.randint(0, mu) for mu in m.mult)
         support = multi(arr, y)
-        for h in ctx.support(y):
-            verdict, exps = engine.restriction_exponents(ctx, y, h, ctx.euler_values(y, h))
+        for h in (i for i, mu in enumerate(y) if mu):
+            verdict, exps = engine.restriction_exponents(ctx, h, ctx.euler_values(y, h))
             em = euler_multiplicity(support, support.arrangement.index_of_label(arr.labels[h]))
             verdicts.add(verdict)
             if verdict == "yes":
-                assert _replayed_exponents(em, replay) == exps
+                assert _replayed_exponents(em, replay, DEFAULT_BUDGET) == exps
             else:
                 assert verdict == "no"
                 with pytest.raises(ValueError, match="not inductively free"):
-                    _replayed_exponents(em, replay)
+                    _replayed_exponents(em, replay, DEFAULT_BUDGET)
     assert "yes" in verdicts
     # a certificate's restriction exponents are derived from the memo's
     # exponent sets; the search route must give the same for every row
@@ -226,8 +233,66 @@ def test_restriction_routes_agree(make) -> None:
     state = m.mult
     for step in reversed(rep.steps):
         h = arr.index_of_label(step.label)
-        assert engine.restriction_exponents(ctx, state, h, ctx.euler_values(state, h)) == ("yes", step.restriction_exponents)
+        assert engine.restriction_exponents(ctx, h, ctx.euler_values(state, h)) == ("yes", step.restriction_exponents)
         state = state[:h] + (state[h] - 1,) + state[h + 1 :]
+
+
+@pytest.mark.parametrize(
+    "make", [a342_kappa, lambda: shipped_fixture("g33_a2_kappa"), lambda: spec_simple("A:2:4:4")], ids=["A:3:4:2", "g33_a2_kappa", "A:2:4:4"]
+)
+def test_low_rank_exponents_match_the_per_support_route(make) -> None:
+    # the rank-2 flat through the first two hyperplanes of the support
+    # against the route it replaced: the rank of the support, then the
+    # plane of the support itself; in the top context and in restricted
+    # ones, on random states with zeros
+    m = make()
+    session = Session()
+    rng = random.Random(12)
+    arrs = [m.arrangement] + [euler_pattern(m.arrangement, h0).arrangement for h0 in rng.sample(range(m.arrangement.n), 3)]
+    ranks = []
+    for arr in arrs:
+        ctx = session.context(arr)
+        flats = [flat for h0 in range(arr.n) for flat in euler_pattern(arr, h0).flats]
+        for _ in range(80):
+            # a random support, or a random part of a rank-2 flat
+            pool = rng.choice((range(arr.n), rng.choice(flats)))
+            picked = set(rng.sample(pool, rng.randint(0, min(len(pool), 5))))
+            state = tuple(rng.randint(1, 4) if i in picked else 0 for i in range(arr.n))
+            support = [i for i in range(arr.n) if state[i]]
+            rank = linalg.rank([arr.hyperplanes[i].coeffs for i in support], arr.dim)
+            got = ctx.low_rank_exponents(state)
+            ranks.append((rank, len(support)))
+            if rank >= 3:
+                assert got is None
+                continue
+            if rank <= 1:
+                want = (sum(state),)
+            else:
+                plane = tuple((line, state[i]) for line, i in indexed_plane(arr, tuple(support)))
+                want = plane_exponent_pair(plane, arr.zeta_order)
+            assert got == tuple(sorted((0,) * (arr.dim - len(want)) + want))
+    assert {min(r, 3) for r, _ in ranks} == {0, 1, 2, 3}
+    assert any(r == 2 and k > 2 for r, k in ranks)
+
+
+def test_low_rank_questions_make_few_rrefs(monkeypatch) -> None:
+    # the simple base of the g34_a3_kappa_1 table, searched with cold
+    # caches: every rank question reads a rank-2 flat, whose plane is
+    # one rref, where a rank per support took 10,674
+    doc = shipped_table("g34_a3_kappa_1")
+    m = shipped_fixture(doc["fixture"])
+    state = list(m.mult)
+    for _, label, _ in doc["rows"]:
+        state[m.arrangement.index_of_label(label)] -= 1
+    base = multi(m.arrangement, state)
+    euler_pattern.cache_clear()
+    indexed_plane.cache_clear()
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or rref(*args))
+    rep = is_inductively_free(base)
+    assert rep.verdict == "yes" and rep.nodes == 767
+    assert len(calls) <= 200
 
 
 def test_certificate_extraction_spends_no_budget() -> None:
@@ -253,7 +318,7 @@ def test_budget_exhaustion_is_unknown_and_unpoisoned() -> None:
     session = Session()
     rep = is_inductively_free(spec_simple("A:3:3:0"), budget=10, session=session)
     assert rep.verdict == "unknown"
-    assert rep.nodes == 11 and rep.budget == 10
+    assert rep.nodes == 11
     rep = is_inductively_free(spec_simple("A:3:3:0"), session=session)
     assert rep.verdict == "no"
     session = Session()
@@ -350,7 +415,7 @@ def test_localization_obstruction_finds_the_failing_flat() -> None:
     obs = localization_obstruction(spec_simple("A:3:3:0"))
     assert obs.verdict == "obstructed"
     assert obs.flat is not None and obs.flat.rank == 3
-    assert len(obs.flat_labels) == 9
+    assert len(obs.flat.closed) == 9
     assert obs.scanned == 1
     clear = localization_obstruction(spec_simple("A:2:3:0"))
     assert clear.verdict == "clear" and clear.flat is None
@@ -420,4 +485,5 @@ def test_refuter_walks_chains_deeper_than_the_recursion_limit() -> None:
 def test_refuter_budget() -> None:
     kappa = shipped_fixture("g33_a2_kappa")
     rep = additive_refuter(kappa, (7, 9, 11), budget=0)
-    assert rep.verdict == "unknown" and rep.budget == 0
+    # the first state already overdraws a budget of 0
+    assert (rep.verdict, rep.explored) == ("unknown", 1)
