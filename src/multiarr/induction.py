@@ -33,6 +33,11 @@ restriction size |mu*| equals the sum of all but one virtual exponent,
 and that leftover exponent is lowered by one.  If no chain reaches the
 empty multiarrangement the input admits no free filtration at all, so
 it is not additively free (and in particular not inductively free).
+
+Both run on one depth-first walk, ``_Engine.walk``, which spends the
+budget, keeps the dead set and returns the path to the first goal; each
+supplies only its edges: valid additions carrying the exponents of the
+state they enter, and size-passing deletions.
 """
 
 from __future__ import annotations
@@ -159,14 +164,18 @@ class _Context:
         lies in the rank-2 flat through its first two.  The flat's plane,
         less lines of multiplicity 0, is then the support's own: plane
         coordinates depend only on the row space, which is the flat's.
+        In dimension <= 2 that flat is all of the arrangement.
         """
         support = [i for i, m in enumerate(state) if m]
         if len(support) < 2:
             return _padded((sum(state),), self.dim)
-        pat = euler_pattern(self.arr, support[0])
-        flat = pat.flats[pat.trace[support[1]]]
-        if sum(state[p] for p in flat) != sum(state):
-            return None
+        if self.dim <= 2:
+            flat = tuple(range(self.n))
+        else:
+            pat = euler_pattern(self.arr, support[0])
+            flat = pat.flats[pat.trace[support[1]]]
+            if sum(state[p] for p in flat) != sum(state):
+                return None
         plane = tuple((line, state[p]) for line, p in indexed_plane(self.arr, flat))
         return _padded(pair_for(plane, self.order), self.dim)
 
@@ -226,68 +235,76 @@ class _Engine:
         if self.progress is not None and self.nodes % 1000 == 0:
             self.progress(self.nodes)
 
-    def candidate_order(self, ctx: _Context, x: tuple[int, ...], target: tuple[int, ...]) -> list[int]:
-        """Addition candidates at x: largest deficit first, light planes
-        before heavy ones on ties, then index.
+    def walk(self, root, children, is_goal, dead: set):
+        """The (step, node) path from the (step, node) pair ``root`` to the first goal, or None.
 
-        Keeping growth balanced mirrors how certificate chains for the
-        known restriction multiarrangements proceed (a sweep of single
-        additions first, the heavily weighted planes topped up last); a
-        greedy unbalanced prefix tends to strand the walk in dead-end
-        corridors and makes the search orders of magnitude slower.
+        ``children(step, node)`` yields the (step, child) edges out of an
+        entered node and is taken lazily.  Each node entered spends one
+        unit of budget; a goal is returned without being entered, and a
+        node whose children run out moves to ``dead``, never to be
+        entered again.  The graph is acyclic, so no child is on the stack.
         """
-        return sorted(
-            (i for i in range(ctx.n) if x[i] < target[i]),
-            key=lambda i: (x[i] - target[i], target[i], i),
-        )
+        if is_goal(root[1]):
+            return []
+        self.spend()
+        stack = [(root, iter(children(*root)))]
+        while stack:
+            for step, node in stack[-1][1]:
+                if node in dead:
+                    continue
+                if is_goal(node):
+                    return [entry for entry, _ in stack[1:]] + [(step, node)]
+                self.spend()
+                stack.append(((step, node), iter(children(step, node))))
+                break
+            else:
+                dead.add(stack.pop()[0][1])
+        return None
 
-    def restriction_exponents(self, ctx: _Context, h0: int, restricted: tuple[int, ...]) -> tuple[str, tuple[int, ...] | None]:
-        """Verdict and exponents (padded to dim-1) of the Euler restriction.
+    def restriction_exponents(self, ctx: _Context, h0: int, restricted: tuple[int, ...]) -> tuple[int, ...] | None:
+        """Exponents (padded to dim-1) of the Euler restriction, or None if it is not inductively free.
 
         ``restricted`` is ``ctx.euler_values(state, h0)``, a state of the
         restricted arrangement's own context; rank <= 2 spends no node.
         """
         sub_ctx = self.session.context(euler_pattern(ctx.arr, h0).arrangement)
         exps = sub_ctx.low_rank_exponents(restricted)
-        if exps is not None:
-            return "yes", exps
-        return self.decide(sub_ctx, restricted)
+        return exps if exps is not None else self.decide(sub_ctx, restricted)
 
-    def decide(self, ctx: _Context, target: tuple[int, ...]) -> tuple[str, tuple[int, ...] | None]:
+    def decide(self, ctx: _Context, target: tuple[int, ...]) -> tuple[int, ...] | None:
+        """Exponents of the target state, or None when it is not inductively free."""
         yes, no = self.session.yes, self.session.no
         key = ctx.state_key(target)
         hit = yes.get(key)
         if hit is not None:
-            return "yes", hit[0]
+            return hit[0]
         if key in no:
-            return "no", None
+            return None
         exps = ctx.low_rank_exponents(target)
         if exps is not None:
             self.spend()
             yes[key] = (exps, None)
-            return "yes", exps
+            return exps
 
-        # Chains grow upward from the zero vector inside the box
-        # 0 <= x <= target, so every explored state already carries its
-        # exponents (in ``yes``, or on the stack for the zero vector) and
-        # each edge needs one restriction solve.
-        zero = (0,) * ctx.n
-        # Lazy depth-first walk: a state's outgoing edges are validated on
-        # demand, so a straight descent pays only for the edges it takes.
-        # A state enters "visited" when first reached by a valid edge; an
-        # edge rejected from one parent stays available from others.
-        visited: set[tuple[int, ...]] = {zero}
-        self.spend()
-        stack: list[tuple[tuple[int, ...], tuple[int, ...], object]] = [
-            (zero, (0,) * ctx.dim, iter(self.candidate_order(ctx, zero, target)))
-        ]
-        while stack:
-            x, x_exps, pending = stack[-1]
-            for h in pending:
-                if x[h] >= target[h]:
-                    continue
+        # Chains grow upward from the zero vector inside the box 0 <= x <= target;
+        # a step carries the exponents of the state it enters, so each edge
+        # needs one restriction solve.  An edge rejected from one parent
+        # stays available from others.
+        dead: set[tuple[int, ...]] = set()
+
+        def additions(x_exps: tuple[int, ...], x: tuple[int, ...]):
+            """(exponents of y, y) of each valid addition x -> y, in candidate order.
+
+            Largest deficit first, light planes before heavy ones on ties,
+            then index: balanced growth mirrors how certificate chains for
+            the known restriction multiarrangements proceed (a sweep of
+            single additions first, the heavily weighted planes topped up
+            last); a greedy unbalanced prefix tends to strand the walk in
+            dead-end corridors and makes the search orders of magnitude slower.
+            """
+            for h in sorted((i for i in range(ctx.n) if x[i] < target[i]), key=lambda i: (x[i] - target[i], target[i], i)):
                 y = x[:h] + (x[h] + 1,) + x[h + 1 :]
-                if y in visited:
+                if y in dead:
                     continue
                 y_key = ctx.state_key(y)
                 prior = yes.get(y_key)
@@ -301,24 +318,17 @@ class _Engine:
                     restricted = ctx.euler_values(y, h)
                     if sum(x) - sum(restricted) not in x_exps:
                         continue
-                    r_verdict, r_exps = self.restriction_exponents(ctx, h, restricted)
-                    if r_verdict != "yes":
-                        continue
-                    assert r_exps is not None
-                    y_exps = check_addition_step(x_exps, r_exps)
-                    if y_exps is None:
+                    r_exps = self.restriction_exponents(ctx, h, restricted)
+                    if r_exps is None or (y_exps := check_addition_step(x_exps, r_exps)) is None:
                         continue
                     yes[y_key] = (y_exps, ctx.form_keys[h])
-                if y == target:
-                    return "yes", y_exps
-                visited.add(y)
-                self.spend()
-                stack.append((y, y_exps, iter(self.candidate_order(ctx, y, target))))
-                break
-            else:
-                stack.pop()
-        no.add(key)
-        return "no", None
+                yield y_exps, y
+
+        path = self.walk(((0,) * ctx.dim, (0,) * ctx.n), additions, target.__eq__, dead)
+        if path is None:
+            no.add(key)
+            return None
+        return path[-1][0]
 
 
 class InductionStep(NamedTuple):
@@ -365,10 +375,10 @@ def is_inductively_free(
     engine = _Engine(session, budget, progress)
     state = m.mult
     try:
-        verdict, exps = engine.decide(ctx, state)
+        exps = engine.decide(ctx, state)
     except BudgetExceeded:
         return InductionReport("unknown", None, (), (), None, engine.nodes)
-    if verdict != "yes":
+    if exps is None:
         return InductionReport("no", None, (), (), None, engine.nodes)
 
     # Each row is read from the memo, with no search and no budget spent:
@@ -513,66 +523,46 @@ def additive_refuter(
         raise ValueError("need one (possibly zero) exponent per ambient dimension")
     engine = _Engine(Session(), budget, progress)
     ctx = engine.session.context(m.arrangement)
-    labels = m.arrangement.labels
-    dead: set[tuple] = set()
     dead_ends = max_depth = 0
     digests: list[str] = []
-    truncated = False
 
-    def deletions(state: tuple[int, ...], virtual: tuple[int, ...]):
-        """(h, child key) of each deletion that passes the size test, in ascending h."""
+    def deletions(_, node: tuple[tuple[int, ...], tuple[int, ...]]):
+        """(h, child) of each deletion that passes the size test, in ascending h;
+        a state with none is a dead end, recorded as the walk leaves it."""
+        nonlocal dead_ends, max_depth
+        state, virtual = node
         total = sum(state)
+        max_depth = max(max_depth, m.total - total)
+        passed = False
         for h, mu in enumerate(state):
             if not mu:
                 continue
             target = total - sum(ctx.euler_values(state, h))
             if target < 1 or target not in virtual:
                 continue
-            lowered = list(virtual)
-            lowered.remove(target)
-            lowered.append(target - 1)
-            # one context per run, so the raw state is as injective a key as state_key
-            yield h, (state[:h] + (mu - 1,) + state[h + 1 :], tuple(sorted(lowered)))
+            passed = True
+            # lowering the first copy of target keeps virtual sorted; one context
+            # per run, so the raw state is as injective a key as state_key
+            i = virtual.index(target)
+            yield h, (state[:h] + (mu - 1,) + state[h + 1 :], virtual[:i] + (target - 1,) + virtual[i + 1 :])
+        if not passed:
+            dead_ends += 1
+            if len(digests) < _DIGEST_CAP:
+                digests.append(_digest(ctx, state, virtual))
 
-    # Depth-first over deletion chains with an explicit stack, so chains
-    # of any length fit; stack[i] is [key, pending deletions, whether any
-    # deletion passed, the deletion being explored] of the state after i
-    # deletions.
-    stack: list[list] = []
-    chain: tuple[str, ...] | None = None
+    chain = None
     try:
-        engine.spend()
-        stack.append([(m.mult, exps), deletions(m.mult, exps), False, None])
-        while stack:
-            entry = stack[-1]
-            key, pending = entry[0], entry[1]
-            if not any(key[0]):
-                # deletions from the top, reversed into build order
-                chain = tuple(labels[e[3]] for e in reversed(stack[:-1]))
-                break
-            for h, child in pending:
-                entry[2] = True
-                if child in dead:
-                    continue
-                entry[3] = h
-                engine.spend()
-                max_depth = max(max_depth, len(stack))
-                stack.append([child, deletions(*child), False, None])
-                break
-            else:
-                # every deletion from this state failed
-                if not entry[2]:
-                    dead_ends += 1
-                    if len(digests) < _DIGEST_CAP:
-                        digests.append(_digest(ctx, *key))
-                    else:
-                        truncated = True
-                dead.add(key)
-                stack.pop()
+        path = engine.walk((None, (m.mult, exps)), deletions, lambda node: not any(node[0]), set())
+        if path is not None:
+            # the empty multiarrangement counts as explored, at depth |mu|
+            engine.spend()
+            max_depth = m.total
+            # deletions from the top, reversed into build order
+            chain = tuple(m.arrangement.labels[h] for h, _ in reversed(path))
+        verdict = "refuted" if chain is None else "chain_found"
     except BudgetExceeded:
-        return RefutationReport("unknown", engine.nodes, dead_ends, max_depth, None, tuple(digests), truncated)
-    verdict = "refuted" if chain is None else "chain_found"
-    return RefutationReport(verdict, engine.nodes, dead_ends, max_depth, chain, tuple(digests), truncated)
+        verdict = "unknown"
+    return RefutationReport(verdict, engine.nodes, dead_ends, max_depth, chain, tuple(digests), dead_ends > len(digests))
 
 
 def table_rows(report: InductionReport) -> list[list]:
@@ -629,7 +619,9 @@ def replay_addition_rows(
         session = Session()
     arr = m_target.arrangement
     state = list(m_target.mult)
-    for _, label, _ in rows:
+    for i, (_, label, _) in enumerate(rows):
+        if label not in arr.labels:
+            raise ValueError(f"row {i}: no hyperplane labelled {label!r}")
         state[arr.index_of_label(label)] -= 1
     if any(v < 0 for v in state):
         raise ValueError("rows add more than the target multiplicity")
@@ -715,7 +707,7 @@ def replay_table(
     rows = [(tuple(a), label, tuple(b)) for a, label, b in doc["rows"]]
     try:
         final = replay_addition_rows(m, tuple(doc["start_exponents"]), rows, budget=budget)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ValueError(f"replay failed: {exc}") from None
     expected = doc.get("final_exponents")
     if expected is not None and tuple(sorted(expected)) != final:

@@ -27,10 +27,8 @@ from .arrangement import (
     concentrated_multiplicity,
     essentialize,
     free_exponents_from_charpoly,
-    hyperplane_flat,
     intersection_lattice,
     localize_multi,
-    restriction,
     simple_multi,
     ziegler_multiplicity,
     MultiArrangement,
@@ -56,6 +54,7 @@ from .induction import (
 from .rank2 import (
     common_value,
     euler_multiplicity,
+    euler_pattern,
     euler_value_shortcut,
     rank2_exponents,
     verify_witness,
@@ -350,7 +349,6 @@ def _check_delta_suite() -> tuple[bool, str]:
         if simple_rep.verdict == "unknown":
             return False, f"{spec}: simple verdict unknown at default budget"
         kappa_by_h0 = [ziegler_multiplicity(arr, h) for h in range(arr.n)]
-        restrictions = [restriction(arr, hyperplane_flat(arr, h)) for h in range(arr.n)]
         for h0 in range(arr.n):
             for m0 in (1, 2, 3, 4):
                 checked += 1
@@ -368,7 +366,7 @@ def _check_delta_suite() -> tuple[bool, str]:
                     if h == h0:
                         continue
                     em_h = euler_multiplicity(d, h)
-                    y0 = restrictions[h].trace[h0]
+                    y0 = euler_pattern(arr, h).trace[h0]
                     want = tuple(m0 if y == y0 else 1 for y in range(em_h.arrangement.n))
                     if em_h.mult != want:
                         return False, (

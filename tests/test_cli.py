@@ -132,6 +132,20 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
             ["refute", "--fixture", "g34_a1a2_kappa", "--exponents", "14 18 23"],
             "0338978d7b8cc0d388d6f5d2fd5b7ac3dea216c2b73e88549b68e790c3fb4416",
         ),
+        # taken at the parent commit of the shared depth-first walk: an
+        # exhaustive no (256 nodes), an unknown inside a restricted
+        # sub-search, a budget overdrawn by entering the empty state
+        # (28 explored, depth 26), and a cut with 49 dead ends at depth 9
+        (["indfree", "--spec", "A:3:3:0"], "a240e378ba00b0898518bf9503de019e04187890c3c11bccac468287e9cb3cc8"),
+        (["indfree", "--spec", "A:3:4:4", "--budget", "20"], "e349f8e5d52479164bff297b1444732337b5df73046cd92e57a3a4de4f910a75"),
+        (
+            ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 9 11", "--budget", "27"],
+            "47f59fce846871674d900877529964903c876706df27226ee657e25b68bcd300",
+        ),
+        (
+            ["refute", "--fixture", "g34_g333_kappa", "--exponents", "14 15 19", "--budget", "500"],
+            "7ce5fcdbf05fc491eb96b3af938a96721053b389cd00b7a10020bb2d18473f5c",
+        ),
     ],
 )
 def test_scalar_json_bytes_are_pinned(capsys, argv, digest) -> None:
@@ -332,6 +346,14 @@ def _with(**fields) -> dict:
     return {**shipped_table("g33_a2_kappa"), **fields}
 
 
+def _a342_with_label(label: str) -> dict:
+    """The frozen a342_kappa table, naming its fixture by path, with row 0 at ``label``."""
+    doc = json.loads((DATA / "a342_kappa.json").read_text(encoding="utf-8"))
+    doc["fixture"] = str(DATA / "a342_kappa.arr")
+    doc["rows"][0][1] = label
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, problem",
     [
@@ -343,8 +365,9 @@ def _with(**fields) -> dict:
         (_with(start_exponents="x"), "'start_exponents'"),
         (_with(start_exponents=None), "need 'start_exponents' and 'rows'"),
         (_with(final_exponents=7), "'final_exponents'"),
+        (_a342_with_label("zz"), "replay failed: row 0: no hyperplane labelled 'zz'\n"),
     ],
-    ids=["list", "payload-list", "two-field-row", "int-label", "int-rows", "str-start", "no-start", "int-final"],
+    ids=["list", "payload-list", "two-field-row", "int-label", "int-rows", "str-start", "no-start", "int-final", "unknown-label"],
 )
 def test_malformed_table_is_an_error_not_a_traceback(capsys, tmp_path, doc, problem) -> None:
     path = tmp_path / "table.json"

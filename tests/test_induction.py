@@ -8,11 +8,12 @@ import random
 
 import pytest
 
-from multiarr import induction, linalg
+from multiarr import induction, linalg, rank2
 from multiarr.arrangement import arrangement, multi, rank_of, simple_multi, ziegler_multiplicity
 from multiarr.catalog import intermediate, parse_fixture, parse_spec_string, shipped_fixture, shipped_table
 from multiarr.induction import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     Session,
     _Engine,
     _replayed_exponents,
@@ -211,21 +212,20 @@ def test_restriction_routes_agree(make) -> None:
     replay = Session()
     ctx = engine.session.context(arr)
     rng = random.Random(9)
-    verdicts = set()
+    free = set()
     for _ in range(6):
         y = tuple(rng.randint(0, mu) for mu in m.mult)
         support = multi(arr, y)
         for h in (i for i, mu in enumerate(y) if mu):
-            verdict, exps = engine.restriction_exponents(ctx, h, ctx.euler_values(y, h))
+            exps = engine.restriction_exponents(ctx, h, ctx.euler_values(y, h))
             em = euler_multiplicity(support, support.arrangement.index_of_label(arr.labels[h]))
-            verdicts.add(verdict)
-            if verdict == "yes":
+            free.add(exps is not None)
+            if exps is not None:
                 assert _replayed_exponents(em, replay, DEFAULT_BUDGET) == exps
             else:
-                assert verdict == "no"
                 with pytest.raises(ValueError, match="not inductively free"):
                     _replayed_exponents(em, replay, DEFAULT_BUDGET)
-    assert "yes" in verdicts
+    assert True in free
     # a certificate's restriction exponents are derived from the memo's
     # exponent sets; the search route must give the same for every row
     rep = is_inductively_free(m, session=engine.session)
@@ -233,7 +233,7 @@ def test_restriction_routes_agree(make) -> None:
     state = m.mult
     for step in reversed(rep.steps):
         h = arr.index_of_label(step.label)
-        assert engine.restriction_exponents(ctx, h, ctx.euler_values(state, h)) == ("yes", step.restriction_exponents)
+        assert engine.restriction_exponents(ctx, h, ctx.euler_values(state, h)) == step.restriction_exponents
         state = state[:h] + (state[h] - 1,) + state[h + 1 :]
 
 
@@ -293,6 +293,50 @@ def test_low_rank_questions_make_few_rrefs(monkeypatch) -> None:
     rep = is_inductively_free(base)
     assert rep.verdict == "yes" and rep.nodes == 767
     assert len(calls) <= 200
+
+
+def test_rank2_contexts_build_no_euler_pattern(monkeypatch) -> None:
+    # a rank-2 restriction's low-rank questions read the one plane of the
+    # whole arrangement; only the rank-3 top context builds patterns
+    built = []
+    pattern = rank2.EulerPattern
+    monkeypatch.setattr(rank2, "EulerPattern", lambda arr, h0: built.append(arr) or pattern(arr, h0))
+    euler_pattern.cache_clear()
+    rep = is_inductively_free(shipped_fixture("g33_a2_kappa"))
+    euler_pattern.cache_clear()
+    assert rep.verdict == "yes"
+    assert len(built) == 14 and all(rank_of(arr) == 3 for arr in built)
+
+
+def test_walk_contract() -> None:
+    # a DAG in which d is reachable twice and the goal g three times
+    graph = {"r": "abc", "a": "d", "b": "dg", "c": "g", "d": "", "g": ""}
+    entered, offered = [], []
+
+    def children(step, node):
+        entered.append(node)
+        for child in graph[node]:
+            offered.append(child)
+            yield node + child, child
+
+    engine = _Engine(Session(), DEFAULT_BUDGET)
+    dead: set[str] = set()
+    path = engine.walk(("", "r"), children, "g".__eq__, dead)
+    # the first goal's path, the goal itself not entered; c never offered
+    assert path == [("rb", "b"), ("bg", "g")]
+    assert entered == ["r", "a", "d", "b"] and engine.nodes == 4
+    assert offered == ["a", "d", "b", "d", "g"] and dead == {"a", "d"}
+    # no goal: each node entered once, then dead
+    engine, dead, entered[:] = _Engine(Session(), DEFAULT_BUDGET), set(), []
+    assert engine.walk(("", "r"), children, lambda node: False, dead) is None
+    assert sorted(entered) == sorted(graph) and engine.nodes == len(graph) and dead == set(graph)
+    # a goal at the root is answered without entering anything
+    engine = _Engine(Session(), 0)
+    assert engine.walk(("", "r"), children, "r".__eq__, set()) == [] and engine.nodes == 0
+    engine = _Engine(Session(), 3)
+    with pytest.raises(BudgetExceeded):
+        engine.walk(("", "r"), children, "g".__eq__, set())
+    assert engine.nodes == 4
 
 
 def test_certificate_extraction_spends_no_budget() -> None:
