@@ -13,18 +13,20 @@ Conventions used throughout the package:
   multiplicities; multiplicity-0 hyperplanes are dropped from the
   support on construction;
 - a :class:`Flat` is an intersection of hyperplanes, recorded by its
-  closed index set, its rank, canonical defining equations (reduced row
-  echelon basis of the span of its forms) and a canonical spanning basis
-  of the subspace itself.
+  closed index set, its rank and canonical defining equations (reduced
+  row echelon basis of the span of its forms, with their pivots);
+- a subspace gets coordinates one way: the forms spanning it are read at
+  the pivot columns of their echelon basis (:func:`pivot_forms`).
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import linalg
-from .scalars import Scalar, one, zero
+from .scalars import Scalar
 
 __all__ = [
     "Arrangement",
@@ -42,6 +44,7 @@ __all__ = [
     "linear_form",
     "localize_multi",
     "multi",
+    "pivot_forms",
     "rank_of",
     "restriction",
     "simple_multi",
@@ -101,18 +104,16 @@ class Arrangement:
         return len(self.hyperplanes)
 
     def index_of_form(self, form: LinearForm) -> int:
-        return _form_index(self)[form]
+        try:
+            return self.hyperplanes.index(form)
+        except ValueError:
+            raise KeyError(f"no hyperplane {form}") from None
 
     def index_of_label(self, label: str) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"no hyperplane labelled {label!r}") from None
-
-
-@functools.lru_cache(maxsize=None)
-def _form_index(arr: Arrangement) -> dict[LinearForm, int]:
-    return {f: i for i, f in enumerate(arr.hyperplanes)}
 
 
 def arrangement(
@@ -149,20 +150,11 @@ class Flat:
     rank: int
     equations: tuple[tuple[Scalar, ...], ...]
     pivots: tuple[int, ...]
-    basis: tuple[tuple[Scalar, ...], ...]
-
-
-def _standard_basis(dim: int, order: int) -> tuple[tuple[Scalar, ...], ...]:
-    o, z = one(order), zero(order)
-    return tuple(tuple(o if i == j else z for j in range(dim)) for i in range(dim))
 
 
 def hyperplane_flat(arr: Arrangement, index: int) -> Flat:
     form = arr.hyperplanes[index]
-    equations = (form.coeffs,)
-    pivots = (next(j for j, c in enumerate(form.coeffs) if c),)
-    basis = tuple(linalg.nullspace([form.coeffs], arr.dim, arr.zeta_order))
-    return Flat((index,), 1, equations, pivots, basis)
+    return Flat((index,), 1, (form.coeffs,), (next(j for j, c in enumerate(form.coeffs) if c),))
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,16 +164,17 @@ def intersection_lattice(arr: Arrangement, max_rank: int | None = None) -> tuple
     Built layer by layer, one echelon extension per cover X < Y: for each
     flat X of rank k, the hyperplanes H_j not containing X are taken in
     order, and those already in a cover Y = X cap H of X are skipped.
-    The closure and the canonical basis of each flat are computed once,
-    when it is first met; the closure scan skips those hyperplanes too,
-    as a hyperplane in one cover of X contains no other. Canonical RREF
-    equations are the dedup key, so the output is deterministic.
+    The closure of each flat is computed once, when it is first met; the
+    closure scan skips those hyperplanes too, as a hyperplane in one
+    cover of X contains no other. Canonical RREF equations are the dedup
+    key, so the output is deterministic. No flat gets a kernel basis;
+    :func:`restriction` computes the one it needs.
     """
     if max_rank is not None and max_rank < 0:
         raise ValueError(f"max_rank must be >= 0, got {max_rank}")
     n = arr.n
     limit = arr.dim if max_rank is None else min(max_rank, arr.dim)
-    top = Flat((), 0, (), (), _standard_basis(arr.dim, arr.zeta_order))
+    top = Flat((), 0, (), ())
     flats: list[Flat] = [top]
     if limit == 0 or n == 0:
         return tuple(flats)
@@ -210,8 +203,7 @@ def intersection_lattice(arr: Arrangement, max_rank: int | None = None) -> tuple
                         if i in flat.closed
                         or (i not in covered and not any(linalg.reduce_against(arr.hyperplanes[i].coeffs, eqs, pivs)))
                     )
-                    basis = tuple(linalg.nullspace(eqs, arr.dim, arr.zeta_order))
-                    cover = seen[eqs] = Flat(closed, rk + 1, eqs, pivs, basis)
+                    cover = seen[eqs] = Flat(closed, rk + 1, eqs, pivs)
                 covered.update(cover.closed)
         layer = sorted(seen.values(), key=lambda f: f.closed)
         flats.extend(layer)
@@ -240,9 +232,13 @@ class Restriction:
 
 
 def restriction(arr: Arrangement, flat: Flat) -> Restriction:
-    """Restrict to a flat; coordinates come from the flat's canonical basis."""
+    """Restrict to a flat, in the coordinates of its canonical kernel basis.
+
+    The basis is the :func:`linalg.nullspace` of the flat's equations,
+    computed here, per call: the standard basis for the top flat.
+    """
     closed = set(flat.closed)
-    sub_dim = len(flat.basis)
+    basis = linalg.nullspace(flat.equations, arr.dim, arr.zeta_order)
     forms: list[LinearForm] = []
     labels: list[str] = []
     index: dict[LinearForm, int] = {}
@@ -252,7 +248,7 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
         if i in closed:
             trace.append(None)
             continue
-        restricted = linear_form([linalg.dot(h.coeffs, b) for b in flat.basis])
+        restricted = linear_form([linalg.dot(h.coeffs, b) for b in basis])
         found = index.get(restricted)
         if found is None:
             found = len(forms)
@@ -262,7 +258,7 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
             groups.append([])
         trace.append(found)
         groups[found].append(i)
-    sub = Arrangement(sub_dim, arr.zeta_order, tuple(forms), tuple(labels))
+    sub = Arrangement(len(basis), arr.zeta_order, tuple(forms), tuple(labels))
     return Restriction(sub, tuple(trace), tuple(map(tuple, groups)))
 
 
@@ -314,21 +310,31 @@ def localize_multi(m: MultiArrangement, flat: Flat) -> MultiArrangement:
     return multi(m.arrangement, [mu if i in closed else 0 for i, mu in enumerate(m.mult)])
 
 
+def pivot_forms(rows: Sequence[Sequence[Scalar]], dim: int) -> tuple[int, tuple[LinearForm, ...]]:
+    """The rank of the forms, and each form in coordinates on their span.
+
+    A form's coordinates are its values at the pivot columns of the
+    forms' RREF: the RREF rows are the identity there, so the form is
+    the combination of them with those values as weights.  The change
+    is invertible on the span and canonical for it, so distinct forms
+    stay distinct; each comes out normalized as by :func:`linear_form`.
+    """
+    _, pivots = linalg.rref(rows, dim)
+    return len(pivots), tuple(linear_form([row[p] for p in pivots]) for row in rows)
+
+
 def essentialize(m: MultiArrangement) -> MultiArrangement:
     """Rewrite in coordinates on the span of the forms; dim becomes rank.
 
-    Localizations of higher-rank arrangements are non-essential; this
-    maps each form to its values at the pivot columns of the form-span
-    echelon basis, an invertible change on the span, so multiplicities
-    and labels carry over unchanged.
+    Localizations of higher-rank arrangements are non-essential; the
+    forms are rewritten by :func:`pivot_forms`, so multiplicities and
+    labels carry over unchanged.
     """
     arr = m.arrangement
-    _, pivots = linalg.rref([f.coeffs for f in arr.hyperplanes], arr.dim)
-    if len(pivots) == arr.dim:
+    rank, forms = pivot_forms([f.coeffs for f in arr.hyperplanes], arr.dim)
+    if rank == arr.dim:
         return m
-    coords = [tuple(f.coeffs[p] for p in pivots) for f in arr.hyperplanes]
-    ess = arrangement(len(pivots), arr.zeta_order, coords, list(arr.labels))
-    return MultiArrangement(ess, m.mult)
+    return MultiArrangement(Arrangement(rank, arr.zeta_order, forms, arr.labels), m.mult)
 
 
 def ziegler_multiplicity(arr: Arrangement, h0: int) -> MultiArrangement:

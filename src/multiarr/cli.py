@@ -425,7 +425,7 @@ def _cmd_table(args) -> int:
 def _cmd_verify_paper(args) -> int:
     only = None
     if args.only:
-        only = [tok for chunk in args.only for tok in chunk.split(",") if tok]
+        only = [tok for chunk in args.only for tok in chunk.split(",")]
     try:
         results = run_all(only=only)
     except ValueError as exc:

@@ -126,14 +126,7 @@ def solve_rows(mat: Sequence[Sequence[Scalar]], row: Sequence[Scalar], ncols: in
     red, pivots = rref(aug, k + 1)
     if k in pivots:
         return None
-    zero_like = None
-    for r in mat:
-        for x in r:
-            zero_like = x - x
-            break
-        break
-    assert zero_like is not None
-    coeffs = [zero_like] * k
+    coeffs = [zero(row[0].order)] * k
     for i, p in enumerate(pivots):
         coeffs[p] = red[i][k]
     return coeffs

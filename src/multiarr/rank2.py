@@ -28,7 +28,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import linalg
-from .arrangement import Arrangement, MultiArrangement, hyperplane_flat, rank_of, restriction
+from .arrangement import Arrangement, MultiArrangement, hyperplane_flat, pivot_forms, rank_of, restriction
 from .scalars import Scalar, one, zero
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "indexed_plane",
     "is_saito_basis",
     "pair_for",
-    "plane_coordinates",
     "plane_exponent_pair",
     "plane_exponents",
     "rank2_exponents",
@@ -79,26 +78,6 @@ class Rank2Result:
     plane: Plane
 
 
-def plane_coordinates(rows: Sequence[Sequence[Scalar]], dim: int, order: int) -> list[tuple[Scalar, Scalar]]:
-    """Each of a rank-2 family of forms in two canonical coordinates.
-
-    The coordinates are the pivot columns of the RREF of the forms, so
-    the reduction is deterministic; each line comes out normalized, as
-    (1, b) for x + b*y or as (0, 1) for y.
-    """
-    _, pivots = linalg.rref(rows, dim)
-    if len(pivots) != 2:
-        raise ValueError(f"expected rank 2, got rank {len(pivots)}")
-    p1, p2 = pivots
-    out = []
-    for row in rows:
-        # row = row[p1] * rref_row1 + row[p2] * rref_row2 since the RREF
-        # rows have an identity pattern in the pivot columns
-        a, b = row[p1], row[p2]
-        out.append((one(order), b * a.inverse()) if a else (a, one(order)))
-    return out
-
-
 def canonical_plane(lines: Iterable[tuple[tuple[Scalar, Scalar], int]]) -> Plane:
     """A plane system in canonical line order: coordinates, then multiplicity.
 
@@ -118,10 +97,14 @@ def indexed_plane(arr: Arrangement, indices: tuple[int, ...]) -> Plane:
     are made only here, and its cache is the one store of them.
     ``indices`` is always the closed set of a rank-2 flat: one of the
     :attr:`EulerPattern.flats`, which Euler values and the exponents of
-    rank-2 search states read, or a whole rank-2 arrangement.
+    rank-2 search states read, or a whole rank-2 arrangement.  The lines
+    are the forms in coordinates on their span (:func:`pivot_forms`),
+    normalized as (1, b) for x + b*y or as (0, 1) for y.
     """
-    rows = [arr.hyperplanes[p].coeffs for p in indices]
-    return canonical_plane(zip(plane_coordinates(rows, arr.dim, arr.zeta_order), indices))
+    rank, forms = pivot_forms([arr.hyperplanes[p].coeffs for p in indices], arr.dim)
+    if rank != 2:
+        raise ValueError(f"expected rank 2, got rank {rank}")
+    return canonical_plane(zip((form.coeffs for form in forms), indices))
 
 
 def _binomial_rows(line: tuple[Scalar, Scalar], mult: int, degree: int, order: int) -> list[list[Scalar]]:
@@ -279,7 +262,7 @@ def _order_basis(plane: Plane, order: int) -> tuple[Rank2Derivation, Rank2Deriva
     then multiplying the pivot by x + b.  That keeps the basis
     shifted-reduced, so its shifted degrees are the exponents, and it
     costs O(|mu|^2) scalar operations.  Lines must be normalized as by
-    :func:`plane_coordinates`.  Returns the homogenized generators,
+    :func:`indexed_plane`.  Returns the homogenized generators,
     lower degree first.
     """
     shift = next((mult for (a, _), mult in plane if not a), 0)
@@ -348,7 +331,7 @@ def plane_exponents(plane: Plane, order: int) -> tuple[tuple[int, int], Rank2Der
     """Exponents and minimal-degree witness for a plane system.
 
     Needs at least two distinct lines, normalized as by
-    :func:`plane_coordinates`.  The two generators of the order basis
+    :func:`indexed_plane`.  The two generators of the order basis
     (:func:`_order_basis`) are certified by Saito's criterion
     (:func:`is_saito_basis`): both lie in D(A, mu), their degrees sum to
     |mu| and their determinant is nonzero.  So they form a basis, and

@@ -453,15 +453,16 @@ def check_ids() -> tuple[str, ...]:
 
 
 def resolve_only(only: Iterable[str]) -> tuple[str, ...]:
-    """Map user tokens (numbers or name fragments) to check ids."""
+    """Map user tokens (numbers or name fragments) to check ids; blank ones name none."""
     ids = []
-    for token in only:
-        token = token.strip().lower()
+    for token in filter(None, (t.strip().lower() for t in only)):
         matches = [num for num, name, _fn in _CHECKS if token == num or token in name]
         if not matches:
             known = ", ".join(f"{num}:{name}" for num, name, _fn in _CHECKS)
             raise ValueError(f"unknown check {token!r}; known: {known}")
         ids.extend(m for m in matches if m not in ids)
+    if not ids:
+        raise ValueError("no check named")
     return tuple(ids)
 
 
@@ -479,5 +480,5 @@ def run_check(check_id: str) -> CheckResult:
 
 def run_all(only: Iterable[str] | None = None) -> tuple[CheckResult, ...]:
     """Run the acceptance checks, in order; each check owns its search memo."""
-    ids = resolve_only(only) if only else check_ids()
+    ids = check_ids() if only is None else resolve_only(only)
     return tuple(run_check(i) for i in ids)

@@ -3,7 +3,8 @@
 This is the same battery `multiarr verify-paper` runs; executing it
 through pytest keeps the CLI report and the test suite in lockstep.
 The full battery recomputes every certificate from scratch, so this
-module dominates the suite's runtime (a few minutes).
+module is the slowest in the suite: about 19 s of its 42 s on a 2-core
+Xeon.
 """
 
 from __future__ import annotations

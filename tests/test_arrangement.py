@@ -143,7 +143,17 @@ def test_lattice_matches_the_closures_of_all_subsets(arr) -> None:
     for f in flats:
         red, pivots = linalg.rref([forms[i] for i in f.closed], arr.dim)
         assert f.equations == tuple(map(tuple, red)) and f.pivots == tuple(pivots)
-        assert f.basis == tuple(linalg.nullspace(f.equations, arr.dim, arr.zeta_order))
+
+
+def test_lattice_computes_no_kernels(monkeypatch) -> None:
+    # flats carry lattice data only; restrictions make their own bases
+    arr = intermediate(parse_spec_string("A:3:4:0"))
+    calls = []
+    kernel = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda *args: calls.append(args) or kernel(*args))
+    intersection_lattice.cache_clear()
+    assert len(intersection_lattice(arr)) == 138
+    assert not calls
 
 
 def test_braid_family_splits() -> None:
@@ -170,12 +180,13 @@ def test_charpoly_has_root_one_and_ziegler_counts(g333, data) -> None:
 def test_restriction_traces_commute_with_the_forms(g333) -> None:
     flat = next(f for f in intersection_lattice(g333, 2) if f.rank == 2)
     res = restriction(g333, flat)
+    basis = linalg.nullspace(flat.equations, g333.dim, g333.zeta_order)
     closed = set(flat.closed)
     for i, h in enumerate(g333.hyperplanes):
         if i in closed:
             assert res.trace[i] is None
             continue
-        image = linear_form([linalg.dot(h.coeffs, b) for b in flat.basis])
+        image = linear_form([linalg.dot(h.coeffs, b) for b in basis])
         assert res.arrangement.hyperplanes[res.trace[i]] == image
         assert i in res.groups[res.trace[i]]
 

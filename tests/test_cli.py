@@ -424,6 +424,10 @@ def test_verify_subset_and_unknown_check(capsys) -> None:
     code, _, err = run_cli(capsys, ["verify-paper", "--only", "nosuch"])
     assert code == 1
     assert "unknown check" in err
+    for blank in (",", " "):
+        code, out, err = run_cli(capsys, ["verify-paper", "--only", blank])
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "no check named" in err
 
 
 def test_verify_json_bytes_ignore_the_clock(capsys, monkeypatch) -> None:

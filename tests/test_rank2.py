@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from multiarr.arrangement import (
     arrangement,
     concentrated_multiplicity,
+    essentialize,
     intersection_lattice,
     localize_multi,
     multi,
     restriction,
+    simple_multi,
     ziegler_multiplicity,
 )
 from multiarr import rank2
@@ -154,6 +156,27 @@ def test_plane_of_an_embedded_flat() -> None:
     assert [l for l, _ in plane] == [l for l, _ in indexed_plane(g333, tuple(sorted(flat.closed)))]
     assert result.exponents[0] + result.exponents[1] == loc.total
     assert verify_witness(result, g333.zeta_order)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: shipped_fixture("g33_a1").arrangement,
+        lambda: intermediate(parse_spec_string("A:3:4:2")),
+        lambda: shipped_fixture("g34_a2").arrangement,
+    ],
+    ids=["g33_a1", "A:3:4:2", "g34_a2"],
+)
+def test_planes_are_the_essentialized_localizations(make) -> None:
+    # a rank-2 flat's plane and its essentialized localization share one
+    # coordinate route, so their lines agree exactly
+    arr = make()
+    for flat in intersection_lattice(arr, 2):
+        if flat.rank != 2:
+            continue
+        ess = essentialize(localize_multi(simple_multi(arr), flat))
+        lines = (form.coeffs for form in ess.arrangement.hyperplanes)
+        assert indexed_plane(arr, flat.closed) == canonical_plane(zip(lines, flat.closed))
 
 
 def test_low_rank_inputs_are_witnessless() -> None:
