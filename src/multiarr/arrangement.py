@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import linalg
 from .scalars import Scalar
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """A normalized linear form; the hyperplane is its kernel."""
 
     coeffs: tuple[Scalar, ...]
@@ -80,24 +79,34 @@ def linear_form(coeffs: tuple[Scalar, ...] | list[Scalar]) -> LinearForm:
     return LinearForm(tuple(c * inv for c in coeffs))
 
 
-@dataclass(frozen=True, slots=True)
 class Arrangement:
     """An ordered, labelled, duplicate-free tuple of hyperplanes.
 
-    Its hash is computed once: the caches keyed by it hash it per call.
+    Immutable, and hashed once: the caches keyed by it hash it per call.
     """
 
-    dim: int
-    zeta_order: int
-    hyperplanes: tuple[LinearForm, ...]
-    labels: tuple[str, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("dim", "zeta_order", "hyperplanes", "labels", "_key", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.dim, self.zeta_order, self.hyperplanes, self.labels)))
+    def __init__(self, dim: int, zeta_order: int, hyperplanes: tuple[LinearForm, ...], labels: tuple[str, ...]) -> None:
+        key = (dim, zeta_order, hyperplanes, labels)
+        for name, value in zip(self.__slots__, key + (key, hash(key))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an Arrangement")
+
+    __delattr__ = __setattr__
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Arrangement:
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __repr__(self) -> str:
+        return "Arrangement(" + ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key)) + ")"
 
     @property
     def n(self) -> int:
@@ -142,8 +151,7 @@ def arrangement(
     return Arrangement(dim, zeta_order, normalized, tuple(labels))
 
 
-@dataclass(frozen=True, slots=True)
-class Flat:
+class Flat(NamedTuple):
     """An element of the intersection lattice."""
 
     closed: tuple[int, ...]
@@ -217,8 +225,7 @@ def rank_of(arr: Arrangement) -> int:
     return linalg.rank([f.coeffs for f in arr.hyperplanes], arr.dim)
 
 
-@dataclass(frozen=True, slots=True)
-class Restriction:
+class Restriction(NamedTuple):
     """A restricted arrangement plus the parent-to-restricted index maps.
 
     ``trace[i]`` is the index of the image of parent hyperplane i, or
@@ -262,8 +269,7 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
     return Restriction(sub, tuple(trace), tuple(map(tuple, groups)))
 
 
-@dataclass(frozen=True, slots=True)
-class MultiArrangement:
+class MultiArrangement(NamedTuple):
     """An arrangement with positive integer multiplicities."""
 
     arrangement: Arrangement

@@ -7,19 +7,19 @@ index-r subgroup's arrangement (k = 0).  Closed-form exponents and the
 behaviour of restrictions within the family are provided alongside the
 generator so they can be checked against the generic machinery.
 
-Fixture files are line-oriented: `dim <l>`, `zeta <r>`, then one
-`form (<scalar>, ...) mult <n>` line per hyperplane; `#` starts a
-comment.  Hyperplanes keep file order and receive labels a1, a2, ...
-by position.
+Fixture files are line-oriented: `dim <l>`, `zeta <r>` with r at most
+``scalars.MAX_ORDER``, then one `form (<scalar>, ...) mult <n>` line per
+hyperplane; `#` starts a comment.  Hyperplanes keep file order and
+receive labels a1, a2, ... by position.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
+from typing import NamedTuple
 
 from . import linalg
 from .arrangement import (
@@ -30,7 +30,7 @@ from .arrangement import (
     linear_form,
     multi,
 )
-from .scalars import Scalar, ScalarParseError, one, parse_scalar, zero, zeta
+from .scalars import MAX_ORDER, Scalar, ScalarParseError, one, parse_scalar, zero, zeta
 
 __all__ = [
     "FixtureError",
@@ -50,21 +50,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class IntermediateSpec:
-    """Parameters (r, l, k) of A^k_l(r); 0 <= k <= l, r >= 2, l >= 2."""
+class IntermediateSpec(NamedTuple("IntermediateSpec", [("r", int), ("ell", int), ("k", int)])):
+    """Parameters (r, l, k) of A^k_l(r); 0 <= k <= l, 2 <= r <= MAX_ORDER, l >= 2."""
 
-    r: int
-    ell: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"need r >= 2, got {self.r}")
-        if self.ell < 2:
-            raise ValueError(f"need l >= 2, got {self.ell}")
-        if not 0 <= self.k <= self.ell:
-            raise ValueError(f"need 0 <= k <= {self.ell}, got {self.k}")
+    def __new__(cls, r: int, ell: int, k: int) -> IntermediateSpec:
+        if r < 2:
+            raise ValueError(f"need r >= 2, got {r}")
+        if r > MAX_ORDER:
+            raise ValueError(f"need r <= {MAX_ORDER}, got {r}")
+        if ell < 2:
+            raise ValueError(f"need l >= 2, got {ell}")
+        if not 0 <= k <= ell:
+            raise ValueError(f"need 0 <= k <= {ell}, got {k}")
+        return super().__new__(cls, r, ell, k)
 
     @property
     def zeta_order(self) -> int:
@@ -205,6 +205,8 @@ def parse_fixture(text: str) -> MultiArrangement:
             if order is not None:
                 raise FixtureError(lineno, "duplicate zeta header")
             order = _positive_int(rest, lineno, "zeta")
+            if order > MAX_ORDER:
+                raise FixtureError(lineno, f"zeta must be at most {MAX_ORDER}, got {order}")
         elif keyword == "form":
             if dim is None or order is None:
                 raise FixtureError(lineno, "form before dim/zeta headers")

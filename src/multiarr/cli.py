@@ -327,17 +327,7 @@ def _cmd_refute(args) -> int:
     except ValueError as exc:
         raise CommandError(str(exc)) from None
     status = {"chain_found": "ok", "refuted": "refuted", "unknown": "unknown"}[rep.verdict]
-    payload = {
-        "input": name,
-        "exponents": sorted(exps),
-        "verdict": rep.verdict,
-        "explored": rep.explored,
-        "dead_ends": rep.dead_ends,
-        "max_depth": rep.max_depth,
-        "chain": list(rep.chain) if rep.chain is not None else None,
-        "dead_end_digests": list(rep.dead_end_digests),
-        "digests_truncated": rep.digests_truncated,
-    }
+    payload = {"input": name, "exponents": sorted(exps), **rep._asdict()}
     want = "{" + ", ".join(map(str, sorted(exps))) + "}"
     if rep.verdict == "chain_found":
         human = (

@@ -43,9 +43,7 @@ state they enter, and size-passing deletions.
 from __future__ import annotations
 
 import functools
-import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .arrangement import (
@@ -221,12 +219,14 @@ class Session:
         return ctx
 
 
-@dataclass
 class _Engine:
-    session: Session
-    budget: int
-    progress: Callable[[int], None] | None = None
-    nodes: int = 0
+    __slots__ = ("session", "budget", "progress", "nodes")
+
+    def __init__(self, session: Session, budget: int, progress: Callable[[int], None] | None = None) -> None:
+        self.session = session
+        self.budget = budget
+        self.progress = progress
+        self.nodes = 0
 
     def spend(self) -> None:
         self.nodes += 1
@@ -344,8 +344,7 @@ class InductionStep(NamedTuple):
     restriction_exponents: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class InductionReport:
+class InductionReport(NamedTuple):
     verdict: str  # "yes" | "no" | "unknown"
     exponents: tuple[int, ...] | None
     steps: tuple[InductionStep, ...]
@@ -404,8 +403,7 @@ def is_inductively_free(
     return InductionReport("yes", exps, tuple(steps), base, base_exps, engine.nodes)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Result of scanning localizations for an inductive-freeness failure."""
 
     verdict: str  # "obstructed" | "clear" | "unknown"
@@ -434,8 +432,7 @@ def localization_obstruction(m: MultiArrangement, budget: int = DEFAULT_BUDGET) 
     return ObstructionReport("unknown" if unknown else "clear", None, scanned)
 
 
-@dataclass(frozen=True)
-class HereditaryReport:
+class HereditaryReport(NamedTuple):
     verdict: str  # "yes" | "no" | "unknown"
     failed_flat: Flat | None
     checked: int
@@ -470,8 +467,7 @@ def hereditarily_inductively_free(
     return HereditaryReport("yes", None, checked)
 
 
-@dataclass(frozen=True)
-class RefutationReport:
+class RefutationReport(NamedTuple):
     verdict: str  # "refuted" | "chain_found" | "unknown"
     explored: int
     dead_ends: int
@@ -489,7 +485,11 @@ def _digest(ctx: _Context, state: tuple[int, ...], virtual: tuple[int, ...]) -> 
 
     The text is that of the original Fraction-keyed state keys, so the
     digests stay comparable across versions; it is built only here.
+    ``hashlib`` is imported here, not with the module, so that only a
+    refutation that records dead ends loads OpenSSL.
     """
+    import hashlib
+
     content = tuple((k, state[i]) for i, k in ctx.sort_key_order if state[i])
     text = repr(((ctx.dim, ctx.order, content), virtual)).encode()
     return hashlib.sha256(text).hexdigest()[:16]

@@ -25,7 +25,7 @@ import functools
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .arrangement import Arrangement, MultiArrangement, hyperplane_flat, pivot_forms, rank_of, restriction
@@ -53,8 +53,7 @@ __all__ = [
 Plane = tuple[tuple[tuple[Scalar, Scalar], int], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Rank2Derivation:
+class Rank2Derivation(NamedTuple):
     """theta = f1 d/dx + f2 d/dy, homogeneous of the given degree.
 
     ``f1[j]`` is the coefficient of x^(degree-j) y^j.
@@ -65,8 +64,7 @@ class Rank2Derivation:
     f2: tuple[Scalar, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Rank2Result:
+class Rank2Result(NamedTuple):
     """Sorted exponent pair, witness, and the plane system it refers to.
 
     ``witness`` is None for inputs of rank < 2, where the exponents are

@@ -39,6 +39,7 @@ from operator import add, neg, sub
 from typing import NamedTuple
 
 __all__ = [
+    "MAX_ORDER",
     "Scalar",
     "ScalarParseError",
     "cyclotomic_polynomial",
@@ -90,6 +91,11 @@ class _Field(NamedTuple):
     # the k in 2, ..., order - 1 prime to order: the Galois maps z -> z^k
     # other than the identity
     units: tuple[int, ...]
+
+
+# The largest r whose field inputs may name: each field holds an
+# r x deg(Phi_r) power table, about 3 MB at r = 1000 and over 1 GB at 20000.
+MAX_ORDER = 1000
 
 
 @functools.lru_cache(maxsize=None)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .arrangement import (
     arrangement,
@@ -118,8 +117,7 @@ TABLE_EXPONENTS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     name: str
     passed: bool

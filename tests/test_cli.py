@@ -6,6 +6,8 @@ import hashlib
 import io
 import itertools
 import json
+import resource
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -19,6 +21,7 @@ from multiarr.rank2 import euler_multiplicity
 
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, argv: list[str], stdin_text: str | None = None):
@@ -446,3 +449,57 @@ def test_help_documents_the_missing_parents(capsys) -> None:
     code, out, _ = run_cli(capsys, ["--help"])
     assert code == 0
     assert "rank-5 parent" in out
+
+
+def fresh_python(code: str, stdin_text: str = "") -> subprocess.CompletedProcess:
+    """Run ``code`` in a new isolated interpreter that imports ``multiarr`` from src.
+
+    The child's address space is capped at 512 MB, so a regression that
+    allocates without bound fails there instead of exhausting the host.
+    """
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    prelude = f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+    return subprocess.run(
+        [sys.executable, "-I", "-c", prelude + code],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap,
+    )
+
+
+def test_cli_import_loads_no_dataclasses_and_no_openssl() -> None:
+    proc = fresh_python(
+        "heavy = ('dataclasses', 'inspect', 'ast', 'hashlib')\n"
+        "before = set(sys.modules)\n"
+        "import multiarr.cli\n"
+        "print(sorted(m for m in heavy if m in sys.modules and m not in before))\n"
+        "code = multiarr.cli.main(['refute', '--fixture', 'g33_a2_kappa', '--exponents', '8 8 11', '--json'])\n"
+        "print(code, 'hashlib' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, refute_json, after = proc.stdout.splitlines()
+    assert loaded == "[]"
+    # a refutation that records dead ends is what loads OpenSSL, for its digests
+    assert payload_of(refute_json)["dead_end_digests"]
+    assert after == "2 True"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, code, err",
+    [
+        (["charpoly", "--spec", "A:20000:2:0"], "", 1, "error: need r <= 1000, got 20000\n"),
+        (["charpoly", "--fixture", "-"], "dim 1\nzeta 20000\nform (1) mult 1\n", 1, "error: stdin: line 2: zeta must be at most 1000, got 20000\n"),
+        (["charpoly", "--fixture", "-"], "dim 1\nzeta 1000\nform (1) mult 1\n", 0, ""),
+    ],
+    ids=["spec", "fixture", "fixture-at-limit"],
+)
+def test_a_large_root_of_unity_order_is_an_input_error(argv, stdin_text, code, err) -> None:
+    # each field of order r holds an r x deg(Phi_r) table: gigabytes at 20000
+    proc = fresh_python(f"import multiarr.cli\nsys.exit(multiarr.cli.main({[*argv, '--json']!r}))", stdin_text)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert (proc.stdout == "") == bool(code)
