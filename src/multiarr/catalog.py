@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import json
-from importlib import resources
 from itertools import combinations
+from pathlib import Path
 from typing import NamedTuple
 
 from . import linalg
@@ -306,14 +306,14 @@ def load_fixture(path) -> MultiArrangement:
 
 
 def shipped_fixture_names() -> tuple[str, ...]:
-    files = resources.files(__package__) / "fixtures"
+    files = Path(__file__).with_name("fixtures")
     return tuple(sorted(p.name[: -len(".arr")] for p in files.iterdir() if p.name.endswith(".arr")))
 
 
 @functools.lru_cache(maxsize=None)
 def shipped_fixture(name: str) -> MultiArrangement:
     """Load one of the fixtures shipped with the package, by stem name."""
-    path = resources.files(__package__) / "fixtures" / f"{name}.arr"
+    path = Path(__file__).with_name("fixtures") / f"{name}.arr"
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -322,7 +322,7 @@ def shipped_fixture(name: str) -> MultiArrangement:
 
 
 def shipped_table_names() -> tuple[str, ...]:
-    files = resources.files(__package__) / "tables"
+    files = Path(__file__).with_name("tables")
     return tuple(sorted(p.name[: -len(".json")] for p in files.iterdir() if p.name.endswith(".json")))
 
 
@@ -334,7 +334,7 @@ def shipped_table(name: str) -> dict:
     the starting multiarrangement, the expected final exponents, and the
     rows as [exponents-before, hyperplane label, restriction-exponents].
     """
-    path = resources.files(__package__) / "tables" / f"{name}.json"
+    path = Path(__file__).with_name("tables") / f"{name}.json"
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:

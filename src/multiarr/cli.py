@@ -41,6 +41,7 @@ from .induction import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     additive_refuter,
+    e2,
     emit_induction_table,
     hereditarily_inductively_free,
     is_inductively_free,
@@ -335,9 +336,10 @@ def _cmd_refute(args) -> int:
             f"(additive freeness NOT refuted)\naddition order: {' '.join(rep.chain)}"
         )
     elif rep.verdict == "refuted":
+        gate = f"; b2 = {rep.b2} != e2 = {e2(exps)}" if rep.b2 != e2(exps) else ""
         human = (
             f"{name}: no free filtration realizes {want}; not additively free "
-            f"({rep.explored} states, {rep.dead_ends} dead ends)"
+            f"({rep.explored} states, {rep.dead_ends} dead ends{gate})"
         )
     else:
         human = f"{name}: undecided within the budget of {args.budget} states"

@@ -27,12 +27,13 @@ answers are exhaustive (the whole reachable set below the target was
 explored); a node budget bounds the search and exhaustion yields the
 verdict "unknown", never a silent wrong answer.
 
-The additive-freeness refuter walks deletion chains with "virtual
-exponents": a deletion at H is admissible only when the Euler
-restriction size |mu*| equals the sum of all but one virtual exponent,
-and that leftover exponent is lowered by one.  If no chain reaches the
-empty multiarrangement the input admits no free filtration at all, so
-it is not additively free (and in particular not inductively free).
+The additive-freeness refuter first checks b2 = e2 of the exponents,
+then walks deletion chains with "virtual exponents": a deletion at H is
+admissible only when the Euler restriction size |mu*| equals the sum of
+all but one virtual exponent, and that leftover exponent is lowered by
+one.  If no chain reaches the empty multiarrangement the input admits
+no free filtration at all, so it is not additively free (and in
+particular not inductively free).
 
 Both run on one depth-first walk, ``_Engine.walk``, which spends the
 budget, keeps the dead set and returns the path to the first goal; each
@@ -61,6 +62,7 @@ from .rank2 import (
     euler_multiplicity,
     euler_pattern,
     indexed_plane,
+    local_b2,
     pair_for,
     rank2_exponents,
 )
@@ -74,6 +76,7 @@ __all__ = [
     "Session",
     "additive_refuter",
     "check_addition_step",
+    "e2",
     "emit_induction_table",
     "hereditarily_inductively_free",
     "is_inductively_free",
@@ -475,6 +478,7 @@ class RefutationReport(NamedTuple):
     chain: tuple[str, ...] | None
     dead_end_digests: tuple[str, ...]
     digests_truncated: bool
+    b2: int
 
 
 _DIGEST_CAP = 10_000
@@ -485,14 +489,23 @@ def _digest(ctx: _Context, state: tuple[int, ...], virtual: tuple[int, ...]) -> 
 
     The text is that of the original Fraction-keyed state keys, so the
     digests stay comparable across versions; it is built only here.
-    ``hashlib`` is imported here, not with the module, so that only a
-    refutation that records dead ends loads OpenSSL.
+    The builtin ``_sha2`` (``_sha256`` before 3.12) spares it OpenSSL.
     """
-    import hashlib
-
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
     content = tuple((k, state[i]) for i, k in ctx.sort_key_order if state[i])
     text = repr(((ctx.dim, ctx.order, content), virtual)).encode()
-    return hashlib.sha256(text).hexdigest()[:16]
+    return sha256(text).hexdigest()[:16]
+
+
+def e2(values: Sequence[int]) -> int:
+    """The second elementary symmetric polynomial: the sum of v_i * v_j over i < j."""
+    return (sum(values) ** 2 - sum(v * v for v in values)) // 2
 
 
 def additive_refuter(
@@ -503,16 +516,8 @@ def additive_refuter(
 ) -> RefutationReport:
     """Search for a free filtration compatible with the given exponents.
 
-    Walks deletion chains from (A, mu) downward.  Lowering H is
-    admissible only if |mu*| of the Euler restriction at H equals the
-    current total minus some virtual exponent v_j >= 1; that v_j drops
-    by one.  Reaching the empty multiarrangement yields "chain_found"
-    (a candidate filtration, not a freeness proof); exhausting all
-    chains yields the sound verdict "refuted": no free filtration can
-    exist, so (A, mu) is not additively free.
-
-    Deletion candidates are tried in ascending hyperplane order; the
-    verdict is order-independent, the particular chain found is not.
+    An additively free (A, mu) is free with them, so b2 != e2 (:func:`local_b2`)
+    refutes at the root, in one state; otherwise :func:`_deletion_walk` decides.
     """
     exps = tuple(sorted(exponents))
     if exps and exps[0] < 0:
@@ -521,6 +526,28 @@ def additive_refuter(
         raise ValueError(f"exponents sum to {sum(exps)}, |mu| is {m.total}")
     if len(exps) != m.arrangement.dim:
         raise ValueError("need one (possibly zero) exponent per ambient dimension")
+    b2 = local_b2(m)
+    if b2 == e2(exps):
+        return _deletion_walk(m, exps, b2, budget, progress)
+    engine = _Engine(Session(), budget, progress)
+    try:
+        engine.spend()
+    except BudgetExceeded:
+        return RefutationReport("unknown", engine.nodes, 0, 0, None, (), False, b2)
+    return RefutationReport("refuted", engine.nodes, 0, 0, None, (), False, b2)
+
+
+def _deletion_walk(m: MultiArrangement, exps: tuple[int, ...], b2: int, budget: int = DEFAULT_BUDGET, progress=None) -> RefutationReport:
+    """The refuter's walk down the deletion chains of (A, mu), for sorted ``exps``.
+
+    Lowering H is admissible only if |mu*| of the Euler restriction at H
+    equals the current total minus some virtual exponent v_j >= 1; that
+    v_j drops by one.  Reaching the empty multiarrangement yields
+    "chain_found" (a candidate filtration, not a freeness proof);
+    exhausting all chains yields the sound verdict "refuted".  The
+    verdict does not depend on the order of deletions; the chain does.
+    ``b2`` is only reported.
+    """
     engine = _Engine(Session(), budget, progress)
     ctx = engine.session.context(m.arrangement)
     dead_ends = max_depth = 0
@@ -562,7 +589,7 @@ def additive_refuter(
         verdict = "refuted" if chain is None else "chain_found"
     except BudgetExceeded:
         verdict = "unknown"
-    return RefutationReport(verdict, engine.nodes, dead_ends, max_depth, chain, tuple(digests), dead_ends > len(digests))
+    return RefutationReport(verdict, engine.nodes, dead_ends, max_depth, chain, tuple(digests), dead_ends > len(digests), b2)
 
 
 def table_rows(report: InductionReport) -> list[list]:

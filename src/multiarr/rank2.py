@@ -42,6 +42,7 @@ __all__ = [
     "euler_value_shortcut",
     "indexed_plane",
     "is_saito_basis",
+    "local_b2",
     "pair_for",
     "plane_exponent_pair",
     "plane_exponents",
@@ -515,6 +516,16 @@ class EulerPattern:
 def euler_pattern(arr: Arrangement, h0: int) -> EulerPattern:
     """The shared :class:`EulerPattern` of ``arr`` at hyperplane index h0."""
     return EulerPattern(arr, h0)
+
+
+def local_b2(m: MultiArrangement) -> int:
+    """b2(A, mu), the sum of d1^X * d2^X over the rank-2 flats X: the distinct
+    :attr:`EulerPattern.flats`.  A free (A, mu) with exponents E has
+    b2 = e2(E) (Abe-Terao-Wakefield, Adv. Math. 2007)."""
+    arr = m.arrangement
+    flats = {flat for h in range(arr.n) for flat in euler_pattern(arr, h).flats}
+    pairs = (pair_for(tuple((line, m.mult[p]) for line, p in indexed_plane(arr, flat)), arr.zeta_order) for flat in flats)
+    return sum(d1 * d2 for d1, d2 in pairs)
 
 
 def euler_multiplicity(m: MultiArrangement, h0: int) -> MultiArrangement:

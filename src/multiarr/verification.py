@@ -45,6 +45,7 @@ from .catalog import (
 from .induction import (
     Session,
     additive_refuter,
+    e2,
     is_inductively_free,
     localization_obstruction,
     replay_table,
@@ -394,24 +395,22 @@ def _check_delta_suite() -> tuple[bool, str]:
 
 
 def _check_refuter_regressions() -> tuple[bool, str]:
-    kappa = shipped_fixture("g33_a2_kappa")
-    runs = []
-
-    rep = additive_refuter(kappa, (7, 9, 11))
-    runs.append(("g33_a2_kappa {7,9,11}", rep, "chain_found", 28))
-    rep = additive_refuter(kappa, (7, 10, 10))
-    runs.append(("g33_a2_kappa {7,10,10}", rep, "refuted", 1))
     g333 = simple_multi(intermediate(parse_spec_string("A:3:3:0")))
-    rep = additive_refuter(g333, (1, 4, 4))
-    runs.append(("simple A:3:3:0 {1,4,4}", rep, "refuted", 1))
-
+    cases = (
+        ("g33_a2_kappa {7,9,11}", shipped_fixture("g33_a2_kappa"), (7, 9, 11), "chain_found", 28),
+        ("g33_a2_kappa {7,10,10}", shipped_fixture("g33_a2_kappa"), (7, 10, 10), "refuted", 1),
+        ("simple A:3:3:0 {1,4,4}", g333, (1, 4, 4), "refuted", 1),
+        ("g34_g333_kappa {14,15,19}", shipped_fixture("g34_g333_kappa"), (14, 15, 19), "refuted", 1),
+        ("g34_a1a2_kappa {14,18,23}", shipped_fixture("g34_a1a2_kappa"), (14, 18, 23), "refuted", 1),
+    )
     notes = []
-    for label, rep, want_verdict, want_explored in runs:
+    for label, m, exps, want_verdict, want_explored in cases:
+        rep = additive_refuter(m, exps)
         if rep.verdict != want_verdict:
             return False, f"{label}: verdict {rep.verdict}, frozen run says {want_verdict}"
         if rep.explored != want_explored:
             return False, f"{label}: explored {rep.explored} states, frozen run says {want_explored}"
-        notes.append(f"{label} -> {rep.verdict} ({rep.explored} states)")
+        notes.append(f"{label} -> {rep.verdict} ({rep.explored} states, b2 {rep.b2} vs e2 {e2(exps)})")
     return True, "; ".join(notes)
 
 

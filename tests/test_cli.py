@@ -97,7 +97,7 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
         ),
         (
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 9 11"],
-            "17da801dcd0f65f08188b24c895d5098802f1c8bdc836a7fcb4086c405e42c55",
+            "a272e8e2d449be0264759c10347e94407bb5021d79d4fc8ad1475caf238bfd23",
         ),
         (["table", "--shipped-table", "g33_a2_kappa"], "2cb9858fd69d57b8d05c6a9f049efa351ddebfe7325f5dc6a1d13b297c6d7f3a"),
         (["charpoly", "--spec", "A:5:3:0"], "c58d94016b3adca5dde2340f0ebb9860c830e45b9a5f2adf369ad2edc680357d"),
@@ -106,48 +106,49 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
         # hereditary runs 14 checks on one session
         (["indfree", "--spec", "A:2:4:4"], "e661d32e19ec65abb73274cc0e88af28eb340705e9a875e7daf299c55d6d8e86"),
         (["hereditary", "--spec", "A:2:3:0"], "a079a3be864485aa92a26fd289f0fe34b82d59fe2e001686304dbb6259c417c0"),
-        # taken at the parent commit of the per-deletion refuter sizes
+        # every refute pin was re-taken when b2 began to refute at the root:
+        # these two end there (1 explored, 0 dead ends)
         (
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "8 8 11"],
-            "bcc9c5b3cbd0b3a95b0c07d27f9832b6f36e501aac3916330d1602526a5160b0",
+            "3791c315e8130e8ad402196aa52e363b57fedfbb9aae3b8d87f8e3f83320ca6e",
         ),
         (
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 10 10"],
-            "74ed450372f0085283b5b4162e12eb97839d84b9ec4a8a4ea4a62ec5f45845ec",
+            "823c4461829b35a0292d64e674129f89a160ce655f5e10405fef562126138383",
         ),
         # taken at the parent commit of the searched Euler restrictions with
         # zero multiplicities kept: both recurse into rank-3 restrictions
         # whose support misses some restricted hyperplanes
         (["indfree", "--spec", "A:3:4:4"], "dc91622b62e3a695ae3d80e4f84360062765967376895e971a47461a545f76c8"),
         (["hereditary", "--spec", "A:2:4:4"], "c4e09cf841647234729c05987c3b83db2447d48d40893a4d8b2d0acf914549c1"),
-        # taken at the parent commit of the generator-driven refuter: the
-        # budget cut (101 explored, 24 dead ends) and two exhaustive g34
-        # refutations (3,209 / 305 and 2,139 / 313)
+        # a budget of 100 and two g34 inputs, all refuted at the root by b2;
+        # the walk's own budget cut and exhaustive refutations are pinned in
+        # test_induction
         (
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "8 8 11", "--budget", "100"],
-            "87208791cf152dd1d77bdd179da9124b6f9dc63ba47a8fd3d51499f5e9a661eb",
+            "3791c315e8130e8ad402196aa52e363b57fedfbb9aae3b8d87f8e3f83320ca6e",
         ),
         (
             ["refute", "--fixture", "g34_g333_kappa", "--exponents", "14 15 19"],
-            "6059478b07cd8bbfdf7dc5b0f2ae7fa21c57c58b357794b7ebba28763dfe04eb",
+            "c50af52621e79e0450ddc4359919d40e5aa072fe41aa385f4fec8d7d5ddd165d",
         ),
         (
             ["refute", "--fixture", "g34_a1a2_kappa", "--exponents", "14 18 23"],
-            "0338978d7b8cc0d388d6f5d2fd5b7ac3dea216c2b73e88549b68e790c3fb4416",
+            "a3c478e9bd0d3bdff2b07c694f1a9f48413940e7dfdf27c5bc3b9a5c17fe2133",
         ),
         # taken at the parent commit of the shared depth-first walk: an
         # exhaustive no (256 nodes), an unknown inside a restricted
         # sub-search, a budget overdrawn by entering the empty state
-        # (28 explored, depth 26), and a cut with 49 dead ends at depth 9
+        # (28 explored, depth 26), and a budget of 500 that b2 no longer needs
         (["indfree", "--spec", "A:3:3:0"], "a240e378ba00b0898518bf9503de019e04187890c3c11bccac468287e9cb3cc8"),
         (["indfree", "--spec", "A:3:4:4", "--budget", "20"], "e349f8e5d52479164bff297b1444732337b5df73046cd92e57a3a4de4f910a75"),
         (
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 9 11", "--budget", "27"],
-            "47f59fce846871674d900877529964903c876706df27226ee657e25b68bcd300",
+            "3dc8ad1689ee63034eb42be33f4184a46a81960fc7d8988bab3567e0362c8aef",
         ),
         (
             ["refute", "--fixture", "g34_g333_kappa", "--exponents", "14 15 19", "--budget", "500"],
-            "7ce5fcdbf05fc491eb96b3af938a96721053b389cd00b7a10020bb2d18473f5c",
+            "c50af52621e79e0450ddc4359919d40e5aa072fe41aa385f4fec8d7d5ddd165d",
         ),
     ],
 )
@@ -474,19 +475,20 @@ def fresh_python(code: str, stdin_text: str = "") -> subprocess.CompletedProcess
 
 def test_cli_import_loads_no_dataclasses_and_no_openssl() -> None:
     proc = fresh_python(
-        "heavy = ('dataclasses', 'inspect', 'ast', 'hashlib')\n"
+        "heavy = ('dataclasses', 'inspect', 'ast', 'hashlib', '_hashlib')\n"
         "before = set(sys.modules)\n"
         "import multiarr.cli\n"
         "print(sorted(m for m in heavy if m in sys.modules and m not in before))\n"
-        "code = multiarr.cli.main(['refute', '--fixture', 'g33_a2_kappa', '--exponents', '8 8 11', '--json'])\n"
-        "print(code, 'hashlib' in sys.modules)\n"
+        "from multiarr.catalog import shipped_fixture\n"
+        "from multiarr.induction import _deletion_walk\n"
+        "rep = _deletion_walk(shipped_fixture('g33_a2_kappa'), (8, 8, 11), 239)\n"
+        "print(len(rep.dead_end_digests), sorted(m for m in heavy if m in sys.modules and m not in before))\n"
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, refute_json, after = proc.stdout.splitlines()
+    loaded, after = proc.stdout.splitlines()
     assert loaded == "[]"
-    # a refutation that records dead ends is what loads OpenSSL, for its digests
-    assert payload_of(refute_json)["dead_end_digests"]
-    assert after == "2 True"
+    # the dead-end digests come from the builtin hash module, not OpenSSL
+    assert after == "49 []"
 
 
 @pytest.mark.parametrize(

@@ -10,15 +10,25 @@ import pytest
 
 from multiarr import induction, linalg, rank2
 from multiarr.arrangement import arrangement, multi, rank_of, simple_multi, ziegler_multiplicity
-from multiarr.catalog import intermediate, parse_fixture, parse_spec_string, shipped_fixture, shipped_table
+from multiarr.catalog import (
+    IntermediateSpec,
+    expected_exponents,
+    intermediate,
+    parse_fixture,
+    parse_spec_string,
+    shipped_fixture,
+    shipped_table,
+)
 from multiarr.induction import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Session,
     _Engine,
+    _deletion_walk,
     _replayed_exponents,
     additive_refuter,
     check_addition_step,
+    e2,
     emit_induction_table,
     hereditarily_inductively_free,
     is_inductively_free,
@@ -487,16 +497,23 @@ def test_refuter_finds_the_known_chain() -> None:
 
 def test_refuter_rejects_impossible_exponents_immediately() -> None:
     kappa = shipped_fixture("g33_a2_kappa")
+    # b2 = 239 against e2(7, 10, 10) = 240 refutes at the root, with no walk
     rep = additive_refuter(kappa, (7, 10, 10))
+    assert (rep.verdict, rep.explored, rep.dead_ends, rep.max_depth, rep.b2) == ("refuted", 1, 0, 0, 239)
+    assert rep.dead_end_digests == () and not rep.digests_truncated
+    # the walk alone finds the root a dead end
+    rep = _deletion_walk(kappa, (7, 10, 10), 239)
     assert rep.verdict == "refuted"
     assert rep.explored == 1 and rep.dead_ends == 1
     assert len(rep.dead_end_digests) == 1 and not rep.digests_truncated
+    # here b2 = e2(1, 4, 4) = 24, so the walk refutes
     rep = additive_refuter(spec_simple("A:3:3:0"), (1, 4, 4))
-    assert rep.verdict == "refuted" and rep.explored == 1
+    assert rep.verdict == "refuted" and rep.explored == 1 and rep.dead_ends == 1
+    assert rep.b2 == e2((1, 4, 4)) == 24
 
 
 def test_refuter_pins_the_dead_end_digests() -> None:
-    rep = additive_refuter(shipped_fixture("g33_a2_kappa"), (8, 8, 11))
+    rep = _deletion_walk(shipped_fixture("g33_a2_kappa"), (8, 8, 11), 239)
     assert rep.verdict == "refuted"
     assert (rep.explored, rep.dead_ends) == (258, 49)
     digests = rep.dead_end_digests
@@ -504,6 +521,46 @@ def test_refuter_pins_the_dead_end_digests() -> None:
     assert digests[:2] == ("cedc579451023ba3", "067e591894077ba6")
     joined = hashlib.sha256(",".join(digests).encode()).hexdigest()
     assert joined == "ad7a6f78af89ce0cfa9eb7cfb1a52dbf8bad892cbc3d71184efd25eb1650049b"
+
+
+def test_root_gate_agrees_with_the_walk_on_every_exponent_triple() -> None:
+    kappa = shipped_fixture("g33_a2_kappa")
+    b2 = rank2.local_b2(kappa)
+    triples = [(a, b, 27 - a - b) for a in range(10) for b in range(a, 14) if b <= 27 - a - b]
+    assert len(triples) == 75
+    finished = 0
+    for exps in triples:
+        walk = _deletion_walk(kappa, exps, b2, budget=2_000)
+        public = additive_refuter(kappa, exps, budget=2_000)
+        if walk.verdict == "chain_found":
+            assert b2 == e2(exps), exps
+        if b2 != e2(exps):
+            assert walk.verdict != "chain_found", exps
+            assert (public.verdict, public.explored) == ("refuted", 1), exps
+        if walk.verdict != "unknown":
+            finished += 1
+            assert public.verdict == walk.verdict, exps
+    # {5,11,11} and {6,10,11} run past the budget; only {7,9,11} passes the gate
+    assert finished == 73
+    assert [exps for exps in triples if e2(exps) == b2] == [(7, 9, 11)]
+
+
+def test_b2_matches_known_exponents() -> None:
+    for name, exps in (("g33_a2_kappa", (7, 9, 11)), ("g34_g333_kappa", (13, 16, 19)), ("g34_a3_kappa_1", (13, 19, 23))):
+        assert rank2.local_b2(shipped_fixture(name)) == e2(exps), name
+    for r, ell in itertools.product((2, 3), (2, 3, 4)):
+        for k in range(ell + 1):
+            spec = IntermediateSpec(r, ell, k)
+            assert rank2.local_b2(simple_multi(intermediate(spec))) == e2(expected_exponents(spec)), spec
+    # the shipped refutations fail the identity at the root
+    for name, exps, want in (
+        ("g33_a2_kappa", (8, 8, 11), (239, 240)),
+        ("g34_g333_kappa", (14, 15, 19), (759, 761)),
+        ("g34_a1a2_kappa", (14, 18, 23), (983, 988)),
+    ):
+        rep = additive_refuter(shipped_fixture(name), exps)
+        assert (rep.b2, e2(exps)) == want
+        assert (rep.verdict, rep.explored, rep.dead_ends) == ("refuted", 1, 0)
 
 
 def test_refuter_validates_the_exponents() -> None:
@@ -531,3 +588,10 @@ def test_refuter_budget() -> None:
     rep = additive_refuter(kappa, (7, 9, 11), budget=0)
     # the first state already overdraws a budget of 0
     assert (rep.verdict, rep.explored) == ("unknown", 1)
+    # so does the root of a refutation by b2
+    rep = additive_refuter(kappa, (8, 8, 11), budget=0)
+    assert (rep.verdict, rep.explored, rep.b2) == ("unknown", 1, 239)
+    assert additive_refuter(kappa, (8, 8, 11), budget=1).verdict == "refuted"
+    # the walk alone runs out there, after 24 dead ends
+    rep = _deletion_walk(kappa, (8, 8, 11), 239, budget=100)
+    assert (rep.verdict, rep.explored, rep.dead_ends) == ("unknown", 101, 24)

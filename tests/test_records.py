@@ -56,7 +56,7 @@ RECORDS = {
     ),
     "RefutationReport": (
         lambda: additive_refuter(simple_multi(intermediate(IntermediateSpec(2, 3, 0))), (1, 2, 3)),
-        ("verdict", "explored", "dead_ends", "max_depth", "chain", "dead_end_digests", "digests_truncated"),
+        ("verdict", "explored", "dead_ends", "max_depth", "chain", "dead_end_digests", "digests_truncated", "b2"),
     ),
     "Rank2Result": (_rank2_result, ("exponents", "witness", "plane")),
     "Rank2Derivation": (lambda: _rank2_result().witness, ("degree", "f1", "f2")),
