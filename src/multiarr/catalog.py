@@ -9,8 +9,9 @@ generator so they can be checked against the generic machinery.
 
 Fixture files are line-oriented: `dim <l>`, `zeta <r>` with r at most
 ``scalars.MAX_ORDER``, then one `form (<scalar>, ...) mult <n>` line per
-hyperplane; `#` starts a comment.  Hyperplanes keep file order and
-receive labels a1, a2, ... by position.
+hyperplane; `#` starts a comment.  Coefficients are split at commas,
+which no scalar contains, and each is checked by ``parse_scalar`` alone.
+Hyperplanes keep file order and receive labels a1, a2, ... by position.
 """
 
 from __future__ import annotations
@@ -234,28 +235,6 @@ def _positive_int(text: str, lineno: int, what: str) -> int:
     return value
 
 
-def _split_top_level(body: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    cur: list[str] = []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parentheses")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth:
-        raise ValueError("unbalanced parentheses")
-    parts.append("".join(cur))
-    return parts
-
-
 def _parse_form_line(rest: str, lineno: int, dim: int, order: int) -> tuple[LinearForm, int]:
     rest = rest.strip()
     if not rest.startswith("("):
@@ -267,10 +246,7 @@ def _parse_form_line(rest: str, lineno: int, dim: int, order: int) -> tuple[Line
     if not tail.startswith("mult"):
         raise FixtureError(lineno, "expected trailing 'mult <n>'")
     mult = _positive_int(tail[4:], lineno, "mult")
-    try:
-        pieces = _split_top_level(body)
-    except ValueError as exc:
-        raise FixtureError(lineno, str(exc)) from exc
+    pieces = body.split(",")
     if len(pieces) != dim:
         raise FixtureError(lineno, f"expected {dim} coefficients, got {len(pieces)}")
     coeffs = []

@@ -632,8 +632,8 @@ def replay_addition_rows(
 
     Starts from the target multiplicity minus all row additions, checks
     the start exponents against the base, applies each row's addition,
-    recomputes the Euler restriction exponents from scratch (by
-    ``euler_multiplicity``, independently of the search caches), and
+    recomputes the Euler restriction of the target's own arrangement at
+    the row's hyperplane (``euler_multiplicity``, zeros dropped), and
     checks both printed columns.  The base and every restriction of rank
     <= 2 get their exponents from ``rank2_exponents``; one of higher rank
     must be decided "yes" by a search on ``session`` whose chain is then
@@ -664,17 +664,14 @@ def replay_addition_rows(
             raise ValueError(f"row {i}: expected exponents {current}, table says {tuple(sorted(before))}")
         h0 = arr.index_of_label(label)
         state[h0] += 1
-        stage = multi(arr, state)
-        stage_h0 = stage.arrangement.index_of_label(label)
-        computed = _replayed_exponents(euler_multiplicity(stage, stage_h0), session, budget)
+        res = euler_multiplicity(MultiArrangement(arr, tuple(state)), h0)
+        computed = _replayed_exponents(multi(res.arrangement, res.mult), session, budget)
         if tuple(sorted(restricted)) != computed:
             raise ValueError(f"row {i}: restriction exponents {computed}, table says {tuple(sorted(restricted))}")
         after = check_addition_step(current, computed)
         if after is None:
             raise ValueError(f"row {i}: containment fails: {current} vs {computed}")
         current = after
-    if tuple(state) != tuple(m_target.mult):
-        raise ValueError("rows do not end at the target multiplicity")
     return current
 
 

@@ -520,15 +520,24 @@ def euler_pattern(arr: Arrangement, h0: int) -> EulerPattern:
 
 def local_b2(m: MultiArrangement) -> int:
     """b2(A, mu), the sum of d1^X * d2^X over the rank-2 flats X: the distinct
-    :attr:`EulerPattern.flats`.  A free (A, mu) with exponents E has
-    b2 = e2(E) (Abe-Terao-Wakefield, Adv. Math. 2007)."""
-    arr = m.arrangement
+    :attr:`EulerPattern.flats`; two lines x^a * y^b give (a, b) with no
+    plane built.  A free (A, mu) with exponents E has b2 = e2(E)
+    (Abe-Terao-Wakefield, Adv. Math. 2007)."""
+    arr, mult = m
     flats = {flat for h in range(arr.n) for flat in euler_pattern(arr, h).flats}
-    pairs = (pair_for(tuple((line, m.mult[p]) for line, p in indexed_plane(arr, flat)), arr.zeta_order) for flat in flats)
+    pairs = (
+        pair_for(tuple((line, mult[p]) for line, p in indexed_plane(arr, flat)), arr.zeta_order)
+        if len(flat) > 2 else (mult[flat[0]], mult[flat[1]])
+        for flat in flats
+    )
     return sum(d1 * d2 for d1, d2 in pairs)
 
 
 def euler_multiplicity(m: MultiArrangement, h0: int) -> MultiArrangement:
-    """The Euler restriction (A'', mu*) of (A, mu) at hyperplane index h0."""
+    """The Euler restriction (A'', mu*) of (A, mu) at hyperplane index h0.
+
+    mu may be 0 away from h0 (:meth:`EulerPattern.value`); mu* less its
+    zeros is then that of the support, up to hyperplane order and labels.
+    """
     pat = euler_pattern(m.arrangement, h0)
     return MultiArrangement(pat.arrangement, tuple(pat.value(gid, m.mult) for gid in range(len(pat.groups))))

@@ -56,6 +56,7 @@ from .rank2 import (
     euler_multiplicity,
     euler_pattern,
     euler_value_shortcut,
+    local_b2,
     rank2_exponents,
     verify_witness,
 )
@@ -200,6 +201,7 @@ def _check_induction_tables() -> tuple[bool, str]:
     notes = []
     cases = [(name, shipped_fixture(name), want) for name, want in TABLE_EXPONENTS.items()]
     cases.append(("simple A:2:4:4", simple_multi(intermediate(parse_spec_string("A:2:4:4"))), (1, 3, 5, 7)))
+    replays = []
     for name, m, want in cases:
         rep = is_inductively_free(m)
         got = tuple(sorted(rep.exponents)) if rep.exponents else None
@@ -208,18 +210,21 @@ def _check_induction_tables() -> tuple[bool, str]:
             continue
         # the certificate just found must replay, like the frozen tables
         doc = {"start_exponents": list(rep.base_exponents), "rows": table_rows(rep), "final_exponents": list(want)}
-        try:
-            replay_table(m, doc)
-        except ValueError as exc:
-            bad.append(f"{name}: certificate: {exc}")
-            continue
+        replays.append((f"{name}: certificate", m, doc))
         notes.append(f"{name} {{{','.join(map(str, want))}}} ({len(rep.steps)} steps)")
     for name in shipped_table_names():
         payload = shipped_table(name)
+        replays.append((f"table {name}", shipped_fixture(payload["fixture"]), payload))
+    for name, m, doc in replays:
         try:
-            replay_table(shipped_fixture(payload["fixture"]), payload)
+            _, final = replay_table(m, doc)
         except ValueError as exc:
-            bad.append(f"table {name}: {exc}")
+            bad.append(f"{name}: {exc}")
+            continue
+        # a free (A, mu) has b2 = e2(exp) (Abe-Terao-Wakefield)
+        b2 = local_b2(m)
+        if b2 != e2(final):
+            bad.append(f"{name}: b2 = {b2} != e2 = {e2(final)} of {final}")
     if bad:
         return False, "; ".join(bad)
     return True, (

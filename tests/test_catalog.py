@@ -165,12 +165,24 @@ def test_fixture_parsing_tolerates_comments() -> None:
         ("dim 2\nzeta 1\nform (1, 0) mult 1\nform (2, 0) mult 1", 4, "coincides with the one on line 3"),
         ("dim 2\nzeta 1\nform (1, 1) mult 1\n# a comment\nform (0, 1) mult 2\n\nform (3, 3) mult 1", 7, "line 3: \\(1, 1\\)"),
         ("dim 2\nzeta 1\nform (0, 0) mult 1", 3, "zero linear form"),
+        # misplaced parentheses: the coefficient count or the scalar
+        # grammar rejects them, whichever sees them first
+        ("dim 2\nzeta 1\nform ((1, 0)) mult 1", 3, None),
+        ("dim 2\nzeta 1\nform (1), (0) mult 1", 3, None),
+        ("dim 2\nzeta 1\nform (1, (0) mult 1", 3, None),
+        ("dim 2\nzeta 1\nform (1, 0)) mult 1", 3, None),
     ],
 )
-def test_fixture_errors_carry_line_numbers(text: str, line: int, needle: str) -> None:
+def test_fixture_errors_carry_line_numbers(text: str, line: int, needle: str | None) -> None:
     with pytest.raises(FixtureError, match=needle) as exc:
         parse_fixture(text)
     assert exc.value.line == line
+
+
+def test_nested_parentheses_in_a_coefficient() -> None:
+    nested = parse_fixture("dim 2\nzeta 3\nform ((1 - z)*(1 + z), 1) mult 2\nform (0, 1) mult 1\n")
+    flat = parse_fixture("dim 2\nzeta 3\nform (1 - z^2, 1) mult 2\nform (0, 1) mult 1\n")
+    assert nested == flat
 
 
 def test_load_fixture_from_disk(tmp_path) -> None:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from multiarr.catalog import (
     IntermediateSpec,
     expected_exponents,
     intermediate,
+    load_fixture,
     parse_fixture,
     parse_spec_string,
     shipped_fixture,
@@ -38,6 +41,8 @@ from multiarr.induction import (
     table_rows,
 )
 from multiarr.rank2 import canonical_plane, euler_multiplicity, euler_pattern, indexed_plane, plane_exponent_pair
+
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def spec_simple(text: str):
@@ -455,6 +460,24 @@ def test_replay_searches_each_restriction_once(monkeypatch, spec) -> None:
     assert repeats > 0
 
 
+def test_replay_restricts_the_certificates_own_arrangement(monkeypatch) -> None:
+    # every row's Euler restriction is read from the pattern of the
+    # table's own arrangement at the row's hyperplane: one per label
+    m = load_fixture(DATA / "a444_kappa.arr")
+    doc = json.loads((DATA / "a444_kappa.json").read_text(encoding="utf-8"))
+    built: list[tuple] = []
+    pattern = rank2.EulerPattern
+    monkeypatch.setattr(rank2, "EulerPattern", lambda arr, h0: built.append((arr, h0)) or pattern(arr, h0))
+    euler_pattern.cache_clear()
+    _, final = replay_table(m, doc)
+    euler_pattern.cache_clear()
+    assert final == (5, 9, 13)
+    labels = {label for _, label, _ in doc["rows"]}
+    assert len(labels) == 15
+    assert all(arr is m.arrangement for arr, _ in built)
+    assert sorted(h0 for _, h0 in built) == sorted(m.arrangement.index_of_label(label) for label in labels)
+
+
 def test_table_rendering() -> None:
     rep = is_inductively_free(spec_simple("A:2:3:0"))
     text = emit_induction_table(rep)
@@ -561,6 +584,24 @@ def test_b2_matches_known_exponents() -> None:
         rep = additive_refuter(shipped_fixture(name), exps)
         assert (rep.b2, e2(exps)) == want
         assert (rep.verdict, rep.explored, rep.dead_ends) == ("refuted", 1, 0)
+
+
+def test_b2_closed_form_agrees_with_the_plane_route() -> None:
+    # local_b2 reads two-line flats as (a, b) without a plane; every flat
+    # through pair_for of its indexed plane must give the same sum
+    rng = random.Random(7)
+    inputs = [shipped_fixture(name) for name in ("g33_a2_kappa", "g34_g333_kappa")]
+    for spec in ("A:2:3:1", "A:3:3:0", "A:3:4:2"):
+        arr = intermediate(parse_spec_string(spec))
+        inputs.append(multi(arr, [rng.randint(1, 4) for _ in range(arr.n)]))
+    two_line = 0
+    for m in inputs:
+        arr = m.arrangement
+        flats = {flat for h in range(arr.n) for flat in euler_pattern(arr, h).flats}
+        two_line += sum(len(flat) == 2 for flat in flats)
+        planes = (tuple((line, m.mult[p]) for line, p in indexed_plane(arr, flat)) for flat in flats)
+        assert rank2.local_b2(m) == sum(d1 * d2 for d1, d2 in (rank2.pair_for(plane, arr.zeta_order) for plane in planes))
+    assert two_line > 0
 
 
 def test_refuter_validates_the_exponents() -> None:
