@@ -136,7 +136,7 @@ def _resolve_hyperplane(arr: Arrangement, token: str) -> int:
         return arr.index_of_label(token)
     except KeyError:
         pass
-    if token.isdigit():
+    if token.isdecimal():
         pos = int(token)
         if not 1 <= pos <= arr.n:
             raise CommandError(f"hyperplane position {pos} out of range 1..{arr.n}")

@@ -14,9 +14,8 @@ a kernel scan over all lower degrees as an independent oracle.
 The Euler multiplicity of a restriction has one route,
 :meth:`EulerPattern.value`.  For a rank-2 localization, mu*(Y) is the
 unique common nonzero exponent of (A_Y, mu_Y) and of its deletion at H0
-(the common-value rule).  Closed forms for special local shapes
-(:func:`euler_value_shortcut`) are its fast path, tried first; the plane
-of a localization is built only when they miss.
+(the common-value rule), both pairs taken from
+:func:`plane_exponent_pair`, the one home of the rank-2 closed forms.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "derivation_satisfies",
     "euler_multiplicity",
     "euler_pattern",
-    "euler_value_shortcut",
     "indexed_plane",
     "is_saito_basis",
     "local_b2",
@@ -352,7 +350,13 @@ def plane_exponent_pair(plane: Plane, order: int) -> tuple[int, int]:
     Four shapes have geometry-independent exponents and skip the solver:
 
     - two lines: {m1, m2};
-    - all multiplicities 1: {1, k - 1} (the simple case);
+    - k >= 3 lines with |mu| <= 2k - 1: {k - 1, |mu| - k + 1}, the simple
+      case |mu| = k among them.  D(A, mu) lies in D(A), which has a basis
+      theta_E, theta_2 of degrees 1 and k - 1, so every derivation of
+      degree below k - 1 is f * theta_E.  That lies in D(A, mu) exactly
+      when alpha_H^(mu_H - 1) divides f for every line H, which needs
+      deg f >= |mu| - k.  Hence d1 = min(k - 1, |mu| - k + 1) whenever
+      |mu| <= 2k - 1, as then d1 <= |mu| / 2 < k;
     - one line carrying at least half the total: {|mu| - max, max},
       since below degree max the heavy coordinate of a derivation is
       forced to zero and the rest must be divisible by every other line;
@@ -362,7 +366,7 @@ def plane_exponent_pair(plane: Plane, order: int) -> tuple[int, int]:
 
     Everything else goes to the order-basis solver (:func:`_order_basis`)
     and returns its degrees; this route skips the Saito certificate that
-    :func:`plane_exponents` adds.  Tests cross-check every shortcut and
+    :func:`plane_exponents` adds.  Tests cross-check every closed form and
     the solver against the certified route and a kernel-scan oracle on
     random systems.
 
@@ -383,9 +387,10 @@ def plane_exponent_pair(plane: Plane, order: int) -> tuple[int, int]:
     total = sum(mults)
     if k == 2:
         return (min(mults), max(mults))
+    if total <= 2 * k - 1:
+        low = min(k - 1, total - k + 1)
+        return (low, total - low)
     heavy = max(mults)
-    if all(m == 1 for m in mults):
-        return (1, k - 1)
     if 2 * heavy >= total:
         return (total - heavy, heavy)
     if k == 3:
@@ -409,29 +414,6 @@ def rank2_exponents(m: MultiArrangement) -> Rank2Result:
     canonical = tuple((line, m.mult[i]) for line, i in indexed_plane(arr, tuple(range(arr.n))))
     pair, witness = plane_exponents(canonical, arr.zeta_order)
     return Rank2Result(pair, witness, canonical)
-
-
-def euler_value_shortcut(m0: int, others: tuple[int, ...]) -> int | None:
-    """Closed-form Euler multiplicity for special local shapes.
-
-    ``m0`` is the multiplicity of the distinguished hyperplane, ``others``
-    those of the remaining hyperplanes through the same rank-2 flat.
-    Returns None when no shortcut applies.  Used as an independent
-    cross-check of (and fast path for) the common-value rule.  A rank-2
-    flat holds at least one other hyperplane, so ``others`` must not be
-    empty.
-    """
-    if not others:
-        raise ValueError("a rank-2 localization needs at least one other hyperplane")
-    k = len(others) + 1
-    if k == 2:
-        return others[0]
-    total = m0 + sum(others)
-    if total <= 2 * k - 1 and m0 > 1:
-        return k - 1
-    if m0 == 2 and all(o == 2 for o in others):
-        return k
-    return None
 
 
 def pair_for(plane: Plane, order: int) -> tuple[int, int]:
@@ -498,18 +480,13 @@ class EulerPattern:
         """mu* on restricted hyperplane gid, for parent multiplicities ``mult``.
 
         Zeros are allowed as long as h0 is nonzero: the value is that of
-        the support, and 0 when no member of the group is in it.  The
-        closed forms are tried first, the common-value rule otherwise.
+        the support, and 0 when no member of the group is in it.
         """
-        others = tuple(mult[p] for p in self.groups[gid] if mult[p])
-        if not others:
+        if not any(mult[p] for p in self.groups[gid]):
             return 0
-        value = euler_value_shortcut(mult[self.h0], others)
-        if value is None:
-            lines = indexed_plane(self.parent, self.flats[gid])
-            at = [p for _, p in lines].index(self.h0)
-            value = common_value(tuple((line, mult[p]) for line, p in lines), at, self.parent.zeta_order)
-        return value
+        lines = indexed_plane(self.parent, self.flats[gid])
+        at = [p for _, p in lines].index(self.h0)
+        return common_value(tuple((line, mult[p]) for line, p in lines), at, self.parent.zeta_order)
 
 
 @functools.lru_cache(maxsize=None)

@@ -438,7 +438,7 @@ class _Parser:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")
@@ -463,7 +463,7 @@ class _Parser:
                 self.take()
                 power = self.nat()
             return zeta(self.order, power)
-        if ch.isdigit():
+        if ch.isdecimal():
             num = self.nat()
             if self.peek() == "/":
                 self.take()

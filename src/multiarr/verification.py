@@ -55,8 +55,8 @@ from .rank2 import (
     common_value,
     euler_multiplicity,
     euler_pattern,
-    euler_value_shortcut,
     local_b2,
+    plane_exponent_pair,
     rank2_exponents,
     verify_witness,
 )
@@ -295,8 +295,7 @@ def _criteria_multiarrangements() -> list[MultiArrangement]:
 
 def _check_euler_consistency() -> tuple[bool, str]:
     localizations = 0
-    shortcut_hits = 0
-    witnesses = 0
+    values = 0
     seen: set = set()
     for m in _criteria_multiarrangements():
         arr = m.arrangement
@@ -310,25 +309,18 @@ def _check_euler_consistency() -> tuple[bool, str]:
                 continue
             seen.add(plane)
             localizations += 1
-            for j, (_, m0) in enumerate(plane):
-                full = common_value(plane, j, arr.zeta_order)
-                short = euler_value_shortcut(m0, tuple(mu for i, (_, mu) in enumerate(plane) if i != j))
-                if short is not None:
-                    shortcut_hits += 1
-                    if short != full:
-                        return False, (
-                            f"shortcut Euler value {short} != common-exponent value {full} "
-                            f"at a rank-2 localization of {arr.labels[flat.closed[0]]}..."
-                        )
-            witnesses += 1
+            where = f"flat {[arr.labels[i] for i in flat.closed]} with multiplicities {loc.mult}"
+            pair = plane_exponent_pair(plane, arr.zeta_order)
+            if pair != result.exponents:
+                return False, f"exponent pair {pair} != Saito-certified {result.exponents} at {where}"
+            for j in range(len(plane)):
+                common_value(plane, j, arr.zeta_order)  # raises unless a unique common exponent exists
+            values += len(plane)
             if not verify_witness(result, arr.zeta_order):
-                return False, (
-                    f"rank-2 witness failed divisibility/minimality at flat "
-                    f"{[arr.labels[i] for i in flat.closed]} with multiplicities {loc.mult}"
-                )
+                return False, f"rank-2 witness failed divisibility/minimality at {where}"
     return True, (
-        f"{localizations} distinct rank-2 localizations: {shortcut_hits} closed-form Euler values "
-        f"all agree with the common-exponent rule; {witnesses} solver witnesses pass "
+        f"{localizations} distinct rank-2 localizations: exponent pairs equal the Saito-certified ones, "
+        f"{values} Euler values are unique common exponents, and every witness passes "
         f"divisibility and degree minimality"
     )
 

@@ -158,6 +158,7 @@ def test_fixture_parsing_tolerates_comments() -> None:
         ("dim 2\nzeta 1\nform (1) mult 1", 3, "expected 2 coefficients"),
         ("dim 2\nzeta 1\nform (1, 0) mult 0", 3, "must be positive"),
         ("dim 2\nzeta 1\nform (1, q) mult 1", 3, "bad scalar"),
+        ("dim 2\nzeta 3\nform (1, z^\u00b2) mult 1", 3, "bad scalar"),
         ("dim 2\nzeta 1\nform (1, 0 mult 1", 3, "unterminated"),
         ("dim 2\nzeta 1\nform (1, 0)", 3, "mult"),
         ("dim 2\nzeta 1", 0, "no hyperplanes"),

@@ -239,10 +239,18 @@ def test_hyperplane_resolution_variants(capsys) -> None:
 
 
 def test_hyperplane_resolution_failures(capsys) -> None:
-    for h0 in ("H_9", "H_{1,2}(7)", "nonsense", "99"):
+    for h0 in ("H_9", "H_{1,2}(7)", "nonsense", "99", "\u00b2", "H_{1,2}(z^\u00b2)"):
         code, _, err = run_cli(capsys, ["ziegler", "--spec", "A:3:3:0", "--h0", h0])
         assert code == 1, h0
         assert "error:" in err
+
+
+def test_superscript_digits_in_a_fixture_are_an_input_error(capsys) -> None:
+    # '\u00b2' passes str.isdigit() but not int()
+    fixture = "dim 2\nzeta 3\nform (1, z^\u00b2) mult 1\n"
+    code, out, err = run_cli(capsys, ["charpoly", "--fixture", "-", "--json"], fixture)
+    assert code == 1 and out == ""
+    assert err.startswith("error: stdin: line 3: bad scalar")
 
 
 def test_euler_output_is_a_fixture(capsys) -> None:

@@ -518,6 +518,19 @@ def test_refuter_finds_the_known_chain() -> None:
     assert set(rep.chain) <= set(kappa.arrangement.labels)
 
 
+def test_refuter_solves_few_planes(monkeypatch) -> None:
+    # only planes past every closed form of plane_exponent_pair reach the solver
+    calls = []
+    solve = rank2._order_basis
+    monkeypatch.setattr(rank2, "_order_basis", lambda *args: calls.append(args) or solve(*args))
+    kappa = shipped_fixture("g33_a2_kappa")
+    for exps, verdict, solved in (((7, 9, 11), "chain_found", 11), ((8, 8, 11), "refuted", 4)):
+        plane_exponent_pair.cache_clear()
+        calls.clear()
+        assert additive_refuter(kappa, exps).verdict == verdict
+        assert len(calls) == solved, exps
+
+
 def test_refuter_rejects_impossible_exponents_immediately() -> None:
     kappa = shipped_fixture("g33_a2_kappa")
     # b2 = 239 against e2(7, 10, 10) = 240 refutes at the root, with no walk

@@ -31,7 +31,6 @@ from multiarr.rank2 import (
     derivation_satisfies,
     euler_multiplicity,
     euler_pattern,
-    euler_value_shortcut,
     indexed_plane,
     is_saito_basis,
     plane_exponent_pair,
@@ -88,6 +87,28 @@ def test_simple_lines_split_one_rest() -> None:
     assert plane_exponent_pair(plane, 1) == (1, 4)
 
 
+def test_near_simple_lines_split_k_minus_one_rest() -> None:
+    # k = 5 lines, |mu| = 7 <= 2k - 1: {k - 1, |mu| - k + 1}
+    plane = ((line(Fraction(0)), 3),) + tuple((line(Fraction(s)), 1) for s in range(1, 4)) + ((line(None), 1),)
+    assert plane_exponent_pair(plane, 1) == plane_exponents(plane, 1)[0] == (3, 4)
+
+
+def test_near_simple_pairs_skip_the_solver(monkeypatch) -> None:
+    def refused(*_):
+        raise RuntimeError("solver reached")
+
+    monkeypatch.setattr(rank2, "_order_basis", refused)
+    plane_exponent_pair.cache_clear()
+    lines = (line(None), line(Fraction(0)), line(Fraction(1)), line(Fraction(-1)), line(Fraction(2)))
+    assert plane_exponent_pair(tuple(zip(lines[:4], (2, 1, 1, 1))), 1) == (2, 3)
+    # the boundary |mu| = 2k - 1
+    assert plane_exponent_pair(tuple(zip(lines[:4], (2, 2, 2, 1))), 1) == (3, 4)
+    assert plane_exponent_pair(tuple(zip(lines, (2, 2, 2, 2, 1))), 1) == (4, 5)
+    # |mu| = 2k is past the closed form
+    with pytest.raises(RuntimeError, match="solver reached"):
+        plane_exponent_pair(tuple(zip(lines[:4], (2, 2, 2, 2))), 1)
+
+
 def test_heavy_line_dominates() -> None:
     plane = ((line(Fraction(0)), 7), (line(Fraction(1)), 2), (line(None), 3))
     assert plane_exponent_pair(plane, 1) == (5, 7)
@@ -114,26 +135,31 @@ def test_rejects_degenerate_systems() -> None:
 
 @settings(max_examples=60, deadline=None)
 @given(plane_systems(max_lines=4, max_mult=3), st.integers(1, 4))
-def test_shortcut_euler_values_match_the_common_value(others, m0) -> None:
+def test_euler_values_match_the_certified_pairs(others, m0) -> None:
     h0 = line(Fraction(9))  # steeper than any generated slope, so always new
-    short = euler_value_shortcut(m0, tuple(m for _, m in others))
     plane = canonical_plane(others + ((h0, m0),))
-    full = common_value(plane, plane.index((h0, m0)), 1)
-    if short is not None:
-        assert short == full
+    at = plane.index((h0, m0))
+    value = common_value(plane, at, 1)
+    # the same common exponent from the Saito-certified pairs of both systems
+    deleted = tuple((l, m - (i == at)) for i, (l, m) in enumerate(plane) if m - (i == at))
+    assert set(plane_exponents(plane, 1)[0]) & set(plane_exponents(deleted, 1)[0]) == {value}
     # the value is also an exponent of the deletion, whose pair sums to |mu| - 1
-    assert 1 <= full <= m0 + sum(m for _, m in others) - 1
+    assert 1 <= value <= m0 + sum(m for _, m in others) - 1
 
 
-def test_shortcut_shapes() -> None:
-    assert euler_value_shortcut(5, (3,)) == 3  # two hyperplanes: the other one
-    assert euler_value_shortcut(2, (1, 1, 1)) == 3  # |mu| <= 2k - 1, m0 > 1
-    assert euler_value_shortcut(1, (1, 1, 1)) is None  # simple: no shortcut
-    assert euler_value_shortcut(2, (2, 2, 2)) == 4  # all twos
-    assert euler_value_shortcut(3, (2, 2, 2, 2)) is None
+def test_common_value_shapes() -> None:
+    def value(m0: int, others: tuple[int, ...]) -> int:
+        lines = [line(Fraction(s)) for s in range(len(others))] + [line(None)]
+        plane = canonical_plane(zip(lines, (*others, m0)))
+        return common_value(plane, plane.index((line(None), m0)), 1)
+
+    assert value(5, (3,)) == 3  # two hyperplanes: the other one
+    assert value(2, (1, 1, 1)) == 3  # |mu| <= 2k - 1, m0 > 1: k - 1
+    assert value(1, (1, 1, 1)) == 1  # simple
+    assert value(2, (2, 2, 2)) == 4  # all twos: k
     # no other hyperplane: no rank-2 flat, so no value (not k - 1 = 1)
-    with pytest.raises(ValueError, match="at least one other hyperplane"):
-        euler_value_shortcut(2, ())
+    with pytest.raises(ArithmeticError, match="no unique common nonzero exponent"):
+        common_value(((line(None), 2),), 0, 1)
 
 
 def test_indexed_plane_needs_rank_two() -> None:
@@ -255,7 +281,6 @@ def test_pattern_values_with_zeros_match_the_support(make, monkeypatch) -> None:
         return common_value(*args)
 
     monkeypatch.setattr(rank2, "common_value", counted)
-    fallbacks = 0
     for _ in range(12):
         state = [rng.randint(0, mu) for mu in m.mult]
         support = multi(arr, state)
@@ -266,10 +291,10 @@ def test_pattern_values_with_zeros_match_the_support(make, monkeypatch) -> None:
             em = euler_multiplicity(support, support.arrangement.index_of_label(arr.labels[h0]))
             before = len(calls)
             values = {form: pat.value(gid, state) for gid, form in enumerate(pat.arrangement.hyperplanes)}
-            fallbacks += len(calls) - before
             # a restricted hyperplane that no support member maps onto gets 0
             assert values == dict.fromkeys(values, 0) | dict(zip(em.arrangement.hyperplanes, em.mult))
-    assert fallbacks  # the common-value rule was reached, not only the closed forms
+            # every other value comes from the common-value rule
+            assert len(calls) - before == sum(1 for v in values.values() if v)
 
 
 def test_euler_matches_ziegler_above_simple() -> None:

@@ -76,6 +76,7 @@ def test_zeta_relations() -> None:
         ("  -  z  +  1 ", 3, one(3) - zeta(3)),
         ("--1", 1, one(1)),
         ("1/2 + 1/3", 1, rational(Fraction(5, 6))),
+        ("\u0661/\u0662", 1, rational(Fraction(1, 2))),  # decimal digits of any script, as int() reads them
     ],
 )
 def test_parse_examples(text: str, order: int, expected: Scalar) -> None:
@@ -84,7 +85,8 @@ def test_parse_examples(text: str, order: int, expected: Scalar) -> None:
 
 @pytest.mark.parametrize(
     "text",
-    ["", "1/0", "z^", "1 +", "(1", "1)", "q", "1..2", "z 2", "* 2"],
+    # superscript digits pass str.isdigit() but not int()
+    ["", "1/0", "z^", "1 +", "(1", "1)", "q", "1..2", "z 2", "* 2", "1/\u00b2", "z^\u00b2", "\u00b2", "1\u00b2"],
 )
 def test_parse_rejects(text: str) -> None:
     with pytest.raises(ScalarParseError):
