@@ -169,54 +169,60 @@ def hyperplane_flat(arr: Arrangement, index: int) -> Flat:
 def intersection_lattice(arr: Arrangement, max_rank: int | None = None) -> tuple[Flat, ...]:
     """All flats of rank <= max_rank, sorted by (rank, closed set).
 
-    Built layer by layer, one echelon extension per cover X < Y: for each
-    flat X of rank k, the hyperplanes H_j not containing X are taken in
-    order, and those already in a cover Y = X cap H of X are skipped.
-    The closure of each flat is computed once, when it is first met; the
-    closure scan skips those hyperplanes too, as a hyperplane in one
-    cover of X contains no other. Canonical RREF equations are the dedup
-    key, so the output is deterministic. No flat gets a kernel basis;
+    Built layer by layer, one echelon extension per flat of rank >= 2.
+    For each flat X of rank k, the hyperplanes H_j not containing X are
+    taken in order, and those already in a cover of X are skipped.  The
+    cover X cap H_j is first looked up among the rank-(k + 1) flats
+    already found through H_j: one Y whose closed set contains that of X
+    lies in X cap H_j and has its rank, so it is X cap H_j.  Only a new
+    flat gets :func:`linalg.extend_echelon` and a closure scan, which
+    tests each other hyperplane by :func:`linalg.in_span` and skips those
+    in another cover of X, as a hyperplane in one cover of X contains no
+    other.  RREF equations are canonical, so the output does not depend
+    on which route met a flat first.  No flat gets a kernel basis;
     :func:`restriction` computes the one it needs.
     """
     if max_rank is not None and max_rank < 0:
         raise ValueError(f"max_rank must be >= 0, got {max_rank}")
     n = arr.n
     limit = arr.dim if max_rank is None else min(max_rank, arr.dim)
-    top = Flat((), 0, (), ())
-    flats: list[Flat] = [top]
+    flats: list[Flat] = [Flat((), 0, (), ())]
     if limit == 0 or n == 0:
         return tuple(flats)
 
-    layer: list[Flat] = []
-    for i, form in enumerate(arr.hyperplanes):
-        layer.append(hyperplane_flat(arr, i))
+    layer = [hyperplane_flat(arr, i) for i in range(n)]
     flats.extend(layer)
-
+    forms = [h.coeffs for h in arr.hyperplanes]
     rk = 1
     while rk < limit and layer:
-        seen: dict[tuple, Flat] = {}
+        found: list[Flat] = []
+        # through[j]: (closed-set bitmask, flat) of the new flats on H_j
+        through: list[list[tuple[int, Flat]]] = [[] for _ in range(n)]
         for flat in layer:
+            mask = sum(1 << i for i in flat.closed)
             covered = set(flat.closed)
             for j in range(n):
                 if j in covered:
                     continue
-                extended = linalg.extend_echelon(flat.equations, flat.pivots, arr.hyperplanes[j].coeffs)
-                assert extended is not None, "closed sets must be closed"
-                eqs, pivs = extended
-                cover = seen.get(eqs)
+                cover = next((y for y_mask, y in through[j] if mask & y_mask == mask), None)
                 if cover is None:
+                    extended = linalg.extend_echelon(flat.equations, flat.pivots, forms[j])
+                    assert extended is not None, "closed sets must be closed"
+                    eqs, pivs = extended
                     closed = tuple(
                         i
                         for i in range(n)
-                        if i in flat.closed
-                        or (i not in covered and not any(linalg.reduce_against(arr.hyperplanes[i].coeffs, eqs, pivs)))
+                        if i in flat.closed or (i not in covered and linalg.in_span(forms[i], eqs, pivs))
                     )
-                    cover = seen[eqs] = Flat(closed, rk + 1, eqs, pivs)
+                    cover = Flat(closed, rk + 1, eqs, pivs)
+                    found.append(cover)
+                    entry = (sum(1 << i for i in closed), cover)
+                    for i in closed:
+                        through[i].append(entry)
                 covered.update(cover.closed)
-        layer = sorted(seen.values(), key=lambda f: f.closed)
+        layer = sorted(found, key=lambda f: f.closed)
         flats.extend(layer)
         rk += 1
-    flats.sort(key=lambda f: (f.rank, f.closed))
     return tuple(flats)
 
 
@@ -368,17 +374,13 @@ def characteristic_polynomial(arr: Arrangement) -> tuple[int, ...]:
     by reverse inclusion of subspaces.
     """
     flats = intersection_lattice(arr)
-    closed_sets = [frozenset(f.closed) for f in flats]
-    mu: list[int] = []
-    for i, f in enumerate(flats):
-        if f.rank == 0:
-            mu.append(1)
-            continue
-        acc = 0
-        for j in range(len(flats)):
-            if flats[j].rank < f.rank and closed_sets[j] < closed_sets[i]:
-                acc += mu[j]
-        mu.append(-acc)
+    masks = [sum(1 << i for i in f.closed) for f in flats]
+    mu = [1]
+    # flats come sorted by rank, and closed sets of one rank are
+    # incomparable, so the flats below one all come before it
+    for i in range(1, len(flats)):
+        mask = masks[i]
+        mu.append(-sum(m for m, below in zip(mu, masks) if below & mask == below))
     coeffs = [0] * (arr.dim + 1)
     for f, m in zip(flats, mu):
         coeffs[arr.dim - f.rank] += m

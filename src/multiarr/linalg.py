@@ -49,8 +49,28 @@ def reduce_against(row: Sequence[Scalar], echelon: Sequence[Sequence[Scalar]], p
     for erow, p in zip(echelon, pivots):
         f = out[p]
         if f:
-            out = [a - f * b for a, b in zip(out, erow)]
+            out = [a - f * b if b else a for a, b in zip(out, erow)]
     return out
+
+
+def in_span(row: Sequence[Scalar], echelon: Sequence[Sequence[Scalar]], pivots: Sequence[int]) -> bool:
+    """Whether ``row`` lies in the span of an RREF basis.
+
+    The basis is the identity at its pivot columns, so the only
+    combination that can give ``row`` has the weights row[p].  It is
+    checked one non-pivot column at a time, and the check stops at the
+    first column where it fails.
+    """
+    weighted = [(row[p], erow) for erow, p in zip(echelon, pivots) if row[p]]
+    for c, x in enumerate(row):
+        if c in pivots:
+            continue
+        for w, erow in weighted:
+            if erow[c]:
+                x = x - w * erow[c]
+        if x:
+            return False
+    return True
 
 
 def extend_echelon(
@@ -66,7 +86,7 @@ def extend_echelon(
     if c is None:
         return None
     inv = reduced[c].inverse()
-    new_row = tuple(x * inv for x in reduced)
+    new_row = tuple(x * inv if x else x for x in reduced)
     rows = []
     pivs = []
     placed = False
@@ -77,7 +97,7 @@ def extend_echelon(
             placed = True
         if erow[c]:
             f = erow[c]
-            erow = tuple(a - f * b for a, b in zip(erow, new_row))
+            erow = tuple(a - f * b if b else a for a, b in zip(erow, new_row))
         rows.append(tuple(erow))
         pivs.append(p)
     if not placed:

@@ -9,11 +9,12 @@ equality and hashing compare integers.
 
 Phi_r is monic with integer coefficients, so sums, products and the
 reduction modulo Phi_r stay in the integers, with one gcd per result.  An
-inverse is the product of the other Galois conjugates over the norm,
-integer too.  ``fractions.Fraction`` appears only at the edges: as input
-coefficients, in the derived :attr:`Scalar.coeffs` and in
-:meth:`Scalar.sort_key`.  The sort key orders the lines of a plane once
-per plane built (``rank2.canonical_plane``), sorts content keys such as
+inverse is integer work too: the conjugate over the norm when d <= 2, and
+the extended Euclidean algorithm against Phi_r otherwise.
+``fractions.Fraction`` appears only at the edges: as input coefficients,
+in the derived :attr:`Scalar.coeffs` and in :meth:`Scalar.sort_key`.  The
+sort key orders the lines of a plane once per plane built
+(``rank2.canonical_plane``), sorts content keys such as
 ``MultiArrangement.key`` and the refuter's dead-end digests, whose text
 it fixes; search memo keys use the integer ``num`` and ``den`` instead.
 
@@ -88,9 +89,6 @@ class _Field(NamedTuple):
     degree: int
     # zeta^m in the power basis, for m = 0, ..., order - 1
     powers: tuple[tuple[int, ...], ...]
-    # the k in 2, ..., order - 1 prime to order: the Galois maps z -> z^k
-    # other than the identity
-    units: tuple[int, ...]
 
 
 # The largest r whose field inputs may name: each field holds an
@@ -112,8 +110,7 @@ def _field(order: int) -> _Field:
         power = [0] + power[:-1]
         if top:
             power = [a - top * c for a, c in zip(power, low)]
-    units = tuple(k for k in range(2, order) if gcd(k, order) == 1)
-    return _Field(order, degree, tuple(powers), units)
+    return _Field(order, degree, tuple(powers))
 
 
 def _ratio(value: int | Fraction) -> tuple[int, int]:
@@ -149,15 +146,55 @@ def _product(field: _Field, a: tuple[int, ...] | list[int], b: tuple[int, ...] |
     return out
 
 
-def _conjugate(field: _Field, a: tuple[int, ...], k: int) -> list[int]:
-    """Integer numerators of sigma_k(a), where sigma_k(z) = z^k."""
+def _conjugate(field: _Field, a: tuple[int, ...]) -> list[int]:
+    """Integer numerators of the complex conjugate of a, where z -> z^-1."""
     out = [0] * field.degree
     powers, order = field.powers, field.order
     for j, aj in enumerate(a):
         if aj:
-            for i, p in enumerate(powers[j * k % order]):
+            for i, p in enumerate(powers[-j % order]):
                 out[i] += aj * p
     return out
+
+
+def _euclid(field: _Field, a: tuple[int, ...]) -> tuple[list[int], int]:
+    """(s, n) with a * s = n modulo Phi_order, for a nonzero integer n.
+
+    The extended Euclidean algorithm on integer polynomials: each
+    remainder r of a against Phi_order carries the cofactor s with
+    s * a = r modulo Phi_order.  A pseudo-division step scales the
+    dividend by the divisor's lead; then the pair (r, s) is divided by its
+    joint content.  Phi_order is irreducible, so the last remainder is a
+    nonzero constant.
+    """
+
+    def trim(p: list[int]) -> list[int]:
+        while len(p) > 1 and not p[-1]:
+            p.pop()
+        return p
+
+    r0, s0 = list(cyclotomic_polynomial(field.order)), [0]
+    r1, s1 = trim(list(a)), [1]
+    while len(r1) > 1:
+        lead, d1 = r1[-1], len(r1) - 1
+        while len(r0) > d1:
+            c, k = r0[-1], len(r0) - 1 - d1
+            g = gcd(lead, c)
+            scale, c = lead // g, c // g
+            r0 = [scale * x for x in r0]
+            for i, y in enumerate(r1):
+                r0[i + k] -= c * y
+            s0 = [scale * x for x in s0] + [0] * (len(s1) + k - len(s0))
+            for i, y in enumerate(s1):
+                s0[i + k] -= c * y
+            r0.pop()
+            trim(r0)
+        g = gcd(*r0, *s0)
+        if g != 1:
+            r0 = [x // g for x in r0]
+            s0 = [x // g for x in s0]
+        r0, r1, s0, s1 = r1, r0, s1, trim(s0)
+    return s1 + [0] * (field.degree - len(s1)), r1[0]
 
 
 _new = object.__new__
@@ -286,13 +323,15 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> Scalar:
-        """Multiplicative inverse: the other Galois conjugates over the norm.
+        """Multiplicative inverse, on the integer numerators.
 
         Phi_order is irreducible over Q, so every nonzero residue is a
-        unit.  With sigma_k(z) = z^k for the k prime to the order,
-        N(a) = prod_k sigma_k(a) is a nonzero rational, and
-        a^-1 = prod_{k != 1} sigma_k(a) / N(a).  All of it runs on the
-        integer numerators.
+        unit.  Over a field of degree <= 2, a^-1 is the conjugate of a
+        over the norm a * conj(a), a nonzero rational (over Q, the
+        conjugate is 1).  Over a larger field, the product of all the
+        other conjugates would cost O(d^3) for d = deg Phi_order, so
+        :func:`_euclid` finds s and an integer n with a * s = n instead,
+        and a^-1 = s / n.
 
         >>> print(zeta(5).inverse())
         -z^3 - z^2 - z - 1
@@ -301,14 +340,13 @@ class Scalar:
         if not any(a):
             raise ZeroDivisionError("scalar inverse of zero")
         field = _field(self._order)
-        adj: tuple[int, ...] | list[int] = (1,)
-        if field.units:
-            adj = _conjugate(field, a, field.units[0])
-            for k in field.units[1:]:
-                adj = _product(field, adj, _conjugate(field, a, k))
-        norm = _product(field, a, adj)
-        assert not any(norm[1:]), "the norm of a cyclotomic integer is rational"
-        n = norm[0]
+        if field.degree <= 2:
+            adj: tuple[int, ...] | list[int] = (1,) if field.degree == 1 else _conjugate(field, a)
+            norm = _product(field, a, adj)
+            assert not any(norm[1:]), "the norm of a cyclotomic integer is rational"
+            n = norm[0]
+        else:
+            adj, n = _euclid(field, a)
         if n < 0:
             n = -n
             adj = [-c for c in adj]

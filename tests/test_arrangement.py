@@ -39,10 +39,10 @@ def g333():
     return intermediate(parse_spec_string("A:3:3:0"))
 
 
-def sub_arrangements(arr):
+def sub_arrangements(arr, max_size: int | None = None):
     """Random sub-arrangements with at least two hyperplanes."""
     return st.lists(
-        st.sampled_from(range(arr.n)), min_size=2, max_size=arr.n, unique=True
+        st.sampled_from(range(arr.n)), min_size=2, max_size=max_size or arr.n, unique=True
     ).map(
         lambda picked: arrangement(
             arr.dim,
@@ -129,6 +129,10 @@ def test_lattice_is_deterministic_and_rank_limited(g333) -> None:
     ids=["concurrent-lines", "generic-planes", "A:2:3:0", "g333"],
 )
 def test_lattice_matches_the_closures_of_all_subsets(arr) -> None:
+    assert_lattice_is_the_closures(arr)
+
+
+def assert_lattice_is_the_closures(arr) -> None:
     # oracle: the flats are the closures {i : rank(S + i) = rank(S)} of all subsets S
     forms = [h.coeffs for h in arr.hyperplanes]
     ranks = {
@@ -143,6 +147,30 @@ def test_lattice_matches_the_closures_of_all_subsets(arr) -> None:
     for f in flats:
         red, pivots = linalg.rref([forms[i] for i in f.closed], arr.dim)
         assert f.equations == tuple(map(tuple, red)) and f.pivots == tuple(pivots)
+
+
+# Q(zeta_3), Q(zeta_4) and Q, with dimensions 3, 3 and 4
+@pytest.mark.parametrize("spec", ["A:3:3:1", "A:4:3:2", "A:2:4:4"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_lattice_of_sub_arrangements_matches_the_closures(spec, data) -> None:
+    sub = data.draw(sub_arrangements(intermediate(parse_spec_string(spec)), max_size=10))
+    assert_lattice_is_the_closures(sub)
+    full = intersection_lattice(sub)
+    top = data.draw(st.integers(0, sub.dim))
+    assert intersection_lattice(sub, top) == tuple(f for f in full if f.rank <= top)
+
+
+@pytest.mark.parametrize("spec, extensions", [("A:3:4:0", 119), ("A:2:4:4", 99), ("A:200:2:0", 1)])
+def test_lattice_extends_an_echelon_once_per_flat(monkeypatch, spec, extensions) -> None:
+    # a cover met a second time is looked up by its closed set, not rebuilt
+    arr = intermediate(parse_spec_string(spec))
+    calls = []
+    extend = linalg.extend_echelon
+    monkeypatch.setattr(linalg, "extend_echelon", lambda *args: calls.append(args) or extend(*args))
+    intersection_lattice.cache_clear()
+    flats = intersection_lattice(arr)
+    assert len(calls) == sum(f.rank >= 2 for f in flats) == extensions
 
 
 def test_lattice_computes_no_kernels(monkeypatch) -> None:

@@ -66,16 +66,27 @@ def test_lattice_rejects_a_negative_rank_limit(capsys) -> None:
     assert "max_rank must be >= 0" in err
 
 
+def pin(argv: list[str], digest: str):
+    """One byte-pin case, named by its command line so that a re-pin keeps the id."""
+    return pytest.param(argv, digest, id=" ".join(argv))
+
+
 # sha256 of the --json stdout, taken at the parent commit of the lattice
 # builder that skips covered hyperplanes (the builder before it tried every
 # hyperplane against every flat); the output must not depend on the route
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["lattice", "--spec", "A:3:4:0"], "000738261f6f69b1a42fb5dd0bfb1e9b9b9842320d2a1b9bbe9692de039695ca"),
-        (["lattice", "--spec", "A:2:4:4", "--max-rank", "2"], "2e0c2ff4abe74e3a815fd9d292ffcbf7e8f8d6696b43d8b93c34c97831e68ab5"),
-        (["charpoly", "--spec", "A:3:4:0"], "a334f008617a640e31a49de2c4ea1bf264666cdd0474fd8bb9aa01419bbd6af7"),
-        (["charpoly", "--spec", "A:2:4:4"], "9b65740bd32a61a0c62e52aafc6824bbd66c1379f0340fac25e27b3b720d412a"),
+        pin(["lattice", "--spec", "A:3:4:0"], "000738261f6f69b1a42fb5dd0bfb1e9b9b9842320d2a1b9bbe9692de039695ca"),
+        pin(["lattice", "--spec", "A:2:4:4", "--max-rank", "2"], "2e0c2ff4abe74e3a815fd9d292ffcbf7e8f8d6696b43d8b93c34c97831e68ab5"),
+        pin(["charpoly", "--spec", "A:3:4:0"], "a334f008617a640e31a49de2c4ea1bf264666cdd0474fd8bb9aa01419bbd6af7"),
+        pin(["charpoly", "--spec", "A:2:4:4"], "9b65740bd32a61a0c62e52aafc6824bbd66c1379f0340fac25e27b3b720d412a"),
+        # taken at the parent commit of the builder that looks covers up by
+        # their closed sets: a shipped rank-4 fixture, a rank limit below the
+        # top, and Q(zeta_60), of degree 16, where inverses run Euclid
+        pin(["charpoly", "--fixture", "g34_a2"], "92cd5414d2dbe218d9c45eabc4a18b6f3f7f42ebd55674a84452e3a84f8d2aeb"),
+        pin(["lattice", "--spec", "A:3:5:2", "--max-rank", "3"], "b22ed2a2c4cf6d3596837d96498bf7ce8ea99d8e250227c8674369fe890cf38f"),
+        pin(["charpoly", "--spec", "A:60:2:0"], "577f41659f1972a161ed78c2a4037541a5ee2b6e2a23d7760a5697143a437d7c"),
     ],
 )
 def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:

@@ -74,6 +74,15 @@ def test_extend_echelon_matches_batch_rref(data) -> None:
         assert list(pivots) == piv
 
 
+@given(matrices())
+def test_in_span_agrees_with_reduction(data) -> None:
+    rows, ncols = data
+    # every row but the first lies in the span; the first mostly does not
+    red, pivots = linalg.rref(rows[1:], ncols)
+    for row in rows:
+        assert linalg.in_span(row, red, pivots) == (not any(linalg.reduce_against(row, red, pivots)))
+
+
 @given(matrices(max_rows=3, max_cols=4), st.lists(entries, min_size=3, max_size=3))
 def test_solve_rows_recovers_combinations(data, weights) -> None:
     rows, ncols = data

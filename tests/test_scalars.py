@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiarr.scalars import (
@@ -123,6 +123,29 @@ def test_inverse_law(data) -> None:
     assert a / a == one(order)
     assert a ** (-1) == a.inverse()
     assert 1 / a == a.inverse()
+
+
+def _conjugate_product_inverse(a: Scalar) -> Scalar:
+    """a^-1 as the product of the other Galois conjugates over the norm."""
+    order = a.order
+    adj = one(order)
+    for k in range(2, order):
+        if gcd(k, order) == 1:
+            adj = adj * sum((c * zeta(order, j * k) for j, c in enumerate(a.coeffs)), zero(order))
+    norm = (a * adj).coeffs
+    assert not any(norm[1:])
+    return adj / norm[0]
+
+
+# fields of degree 4 to 16, where the inverse runs the extended Euclid
+@pytest.mark.parametrize("order", [5, 7, 9, 12, 15, 60])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_euclid_inverse_equals_the_conjugate_product(order, data) -> None:
+    a = data.draw(scalars(order, nonzero=True))
+    inv = a.inverse()
+    assert a * inv == one(order)
+    assert inv == _conjugate_product_inverse(a)
 
 
 @given(order_and_scalars(1))
