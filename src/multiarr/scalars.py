@@ -9,8 +9,8 @@ equality and hashing compare integers.
 
 Phi_r is monic with integer coefficients, so sums, products and the
 reduction modulo Phi_r stay in the integers, with one gcd per result.  An
-inverse is integer work too: the conjugate over the norm when d <= 2, and
-the extended Euclidean algorithm against Phi_r otherwise.
+inverse is integer work too: the extended Euclidean algorithm against
+Phi_r.
 ``fractions.Fraction`` appears only at the edges: as input coefficients,
 in the derived :attr:`Scalar.coeffs` and in :meth:`Scalar.sort_key`.  The
 sort key orders the lines of a plane once per plane built
@@ -146,15 +146,11 @@ def _product(field: _Field, a: tuple[int, ...] | list[int], b: tuple[int, ...] |
     return out
 
 
-def _conjugate(field: _Field, a: tuple[int, ...]) -> list[int]:
-    """Integer numerators of the complex conjugate of a, where z -> z^-1."""
-    out = [0] * field.degree
-    powers, order = field.powers, field.order
-    for j, aj in enumerate(a):
-        if aj:
-            for i, p in enumerate(powers[-j % order]):
-                out[i] += aj * p
-    return out
+def _trim(p: list[int]) -> list[int]:
+    """p without its zero leading coefficients (a zero p keeps one)."""
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    return p
 
 
 def _euclid(field: _Field, a: tuple[int, ...]) -> tuple[list[int], int]:
@@ -167,14 +163,8 @@ def _euclid(field: _Field, a: tuple[int, ...]) -> tuple[list[int], int]:
     joint content.  Phi_order is irreducible, so the last remainder is a
     nonzero constant.
     """
-
-    def trim(p: list[int]) -> list[int]:
-        while len(p) > 1 and not p[-1]:
-            p.pop()
-        return p
-
     r0, s0 = list(cyclotomic_polynomial(field.order)), [0]
-    r1, s1 = trim(list(a)), [1]
+    r1, s1 = _trim(list(a)), [1]
     while len(r1) > 1:
         lead, d1 = r1[-1], len(r1) - 1
         while len(r0) > d1:
@@ -188,12 +178,12 @@ def _euclid(field: _Field, a: tuple[int, ...]) -> tuple[list[int], int]:
             for i, y in enumerate(s1):
                 s0[i + k] -= c * y
             r0.pop()
-            trim(r0)
+            _trim(r0)
         g = gcd(*r0, *s0)
         if g != 1:
             r0 = [x // g for x in r0]
             s0 = [x // g for x in s0]
-        r0, r1, s0, s1 = r1, r0, s1, trim(s0)
+        r0, r1, s0, s1 = r1, r0, s1, _trim(s0)
     return s1 + [0] * (field.degree - len(s1)), r1[0]
 
 
@@ -326,12 +316,8 @@ class Scalar:
         """Multiplicative inverse, on the integer numerators.
 
         Phi_order is irreducible over Q, so every nonzero residue is a
-        unit.  Over a field of degree <= 2, a^-1 is the conjugate of a
-        over the norm a * conj(a), a nonzero rational (over Q, the
-        conjugate is 1).  Over a larger field, the product of all the
-        other conjugates would cost O(d^3) for d = deg Phi_order, so
-        :func:`_euclid` finds s and an integer n with a * s = n instead,
-        and a^-1 = s / n.
+        unit: :func:`_euclid` finds s and a nonzero integer n with
+        a * s = n modulo Phi_order, and a^-1 = s / n.
 
         >>> print(zeta(5).inverse())
         -z^3 - z^2 - z - 1
@@ -339,14 +325,7 @@ class Scalar:
         a = self._num
         if not any(a):
             raise ZeroDivisionError("scalar inverse of zero")
-        field = _field(self._order)
-        if field.degree <= 2:
-            adj: tuple[int, ...] | list[int] = (1,) if field.degree == 1 else _conjugate(field, a)
-            norm = _product(field, a, adj)
-            assert not any(norm[1:]), "the norm of a cyclotomic integer is rational"
-            n = norm[0]
-        else:
-            adj, n = _euclid(field, a)
+        adj, n = _euclid(_field(self._order), a)
         if n < 0:
             n = -n
             adj = [-c for c in adj]
