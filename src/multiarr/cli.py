@@ -283,10 +283,10 @@ def _cmd_indfree(args) -> int:
     payload = {
         "input": name,
         "verdict": rep.verdict,
-        "exponents": sorted(rep.exponents) if rep.exponents else None,
+        "exponents": sorted(rep.exponents) if rep.exponents is not None else None,
         "nodes": rep.nodes,
         "base": [[label, mult] for label, mult in rep.base],
-        "start_exponents": list(rep.base_exponents) if rep.base_exponents else None,
+        "start_exponents": list(rep.base_exponents) if rep.base_exponents is not None else None,
         "rows": table_rows(rep),
     }
     if rep.verdict == "yes":

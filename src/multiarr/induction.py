@@ -17,10 +17,12 @@ multiplicities) content makes verdicts independent of the call path.
 The content key of a form is its coefficients as integer (numerators,
 denominator) pairs, which is exact because scalars are stored in
 lowest terms, and equal for equal forms of different arrangements, so
-restrictions searched in their own contexts share the memo too.
-The memo belongs to a :class:`Session`: calls that share a session
-share their verdicts, and a call without one starts a fresh session, so
-its node count depends only on its input.
+restrictions share the memo too.  The memo belongs to a
+:class:`Session`, which holds only proven search facts: calls that
+share a session share their verdicts, and a call without one starts a
+fresh session, so its node count depends only on its input.  What is
+derived from one arrangement (form keys here, Euler values and planes
+in :mod:`.rank2`) lives in module caches keyed by the arrangement.
 
 Positive answers carry a replayable chain of addition steps; negative
 answers are exhaustive (the whole reachable set below the target was
@@ -58,14 +60,7 @@ from .arrangement import (
     restriction,
     simple_multi,
 )
-from .rank2 import (
-    euler_multiplicity,
-    euler_pattern,
-    indexed_plane,
-    local_b2,
-    pair_for,
-    rank2_exponents,
-)
+from .rank2 import euler_multiplicity, euler_pattern, local_b2, low_rank_exponents, padded, rank2_exponents
 
 __all__ = [
     "BudgetExceeded",
@@ -120,83 +115,30 @@ def check_addition_step(before: tuple[int, ...], restricted: tuple[int, ...]) ->
     return tuple(sorted(restricted + (leftover[0] + 1,)))
 
 
-def _padded(values: tuple[int, ...] | list[int], size: int) -> tuple[int, ...]:
-    if len(values) > size:
-        raise ValueError(f"{len(values)} exponents will not fit in rank {size}")
-    return tuple(sorted([0] * (size - len(values)) + list(values)))
+@functools.lru_cache(maxsize=None)
+def _form_keys(arr: Arrangement) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The integer content key of each form: Scalars are canonical, so it
+    is injective and equal for equal forms of different arrangements."""
+    return tuple(tuple((c.num, c.den) for c in f.coeffs) for f in arr.hyperplanes)
 
 
-class _Context:
-    """Per-arrangement state of one session: form keys, Euler values, and
-    low-rank exponents read from the rank-2 flats of the Euler patterns."""
+@functools.lru_cache(maxsize=None)
+def _key_order(arr: Arrangement) -> tuple[tuple[int, tuple], ...]:
+    """(index, form key) of each form in key order; the keys are distinct,
+    so this one sort orders every state key of ``arr``."""
+    return tuple(sorted(enumerate(_form_keys(arr)), key=lambda p: p[1]))
 
-    def __init__(self, arr: Arrangement) -> None:
-        self.arr = arr
-        self.n = arr.n
-        self.dim = arr.dim
-        self.order = arr.zeta_order
-        # integer content key of each form; Scalars are canonical, so it is
-        # injective and equal across contexts of equal content
-        self.form_keys = tuple(tuple((c.num, c.den) for c in f.coeffs) for f in arr.hyperplanes)
-        self.index_of_key = {k: i for i, k in enumerate(self.form_keys)}
-        # the form keys are distinct, so one sort orders every state key
-        order = sorted(range(self.n), key=self.form_keys.__getitem__)
-        self._key_order = tuple((i, self.form_keys[i]) for i in order)
-        self._euler_values: dict = {}
 
-    def state_key(self, state: tuple[int, ...]) -> tuple:
-        content = tuple((k, state[i]) for i, k in self._key_order if state[i])
-        return (self.dim, self.order, content)
+def _state_key(arr: Arrangement, state: tuple[int, ...]) -> tuple:
+    """The memo key of a state: dimension, field and its (form key, mu) content."""
+    return (arr.dim, arr.zeta_order, tuple((k, state[i]) for i, k in _key_order(arr) if state[i]))
 
-    @functools.cached_property
-    def sort_key_order(self) -> tuple[tuple[int, tuple], ...]:
-        """(index, ``sort_key()``) of each form, in sort-key order.
 
-        Only the refuter's dead-end digests use it, so it is built at
-        the first dead end.
-        """
-        keys = [f.sort_key() for f in self.arr.hyperplanes]
-        return tuple(sorted(enumerate(keys), key=lambda p: p[1]))
-
-    def low_rank_exponents(self, state: tuple[int, ...]) -> tuple[int, ...] | None:
-        """Exponents of a state of rank <= 2, padded to dim; None for rank >= 3.
-
-        A support of two or more hyperplanes has rank 2 exactly when it
-        lies in the rank-2 flat through its first two.  The flat's plane,
-        less lines of multiplicity 0, is then the support's own: plane
-        coordinates depend only on the row space, which is the flat's.
-        In dimension <= 2 that flat is all of the arrangement.
-        """
-        support = [i for i, m in enumerate(state) if m]
-        if len(support) < 2:
-            return _padded((sum(state),), self.dim)
-        if self.dim <= 2:
-            flat = tuple(range(self.n))
-        else:
-            pat = euler_pattern(self.arr, support[0])
-            flat = pat.flats[pat.trace[support[1]]]
-            if sum(state[p] for p in flat) != sum(state):
-                return None
-        plane = tuple((line, state[p]) for line, p in indexed_plane(self.arr, flat))
-        return _padded(pair_for(plane, self.order), self.dim)
-
-    def euler_values(self, state: tuple[int, ...], h0: int) -> tuple[int, ...]:
-        """The state's Euler restriction at h0, as a state of the restriction.
-
-        One mu* per restricted hyperplane, zeros kept for those with no
-        member of their group in the support.  Each value is memoized
-        under the multiplicities of h0 and of its group's members.
-        """
-        pat = euler_pattern(self.arr, h0)
-        memo = self._euler_values
-        out = []
-        for gid, mults in enumerate(pat.mults):
-            key = (h0, gid, mults(state))
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = pat.value(gid, state)
-            out.append(value)
-        return tuple(out)
+@functools.lru_cache(maxsize=None)
+def _sort_key_order(arr: Arrangement) -> tuple[tuple[int, tuple], ...]:
+    """(index, ``sort_key()``) of each form, in sort-key order; only the
+    refuter's dead-end digests use it, so it is built at the first one."""
+    return tuple(sorted(enumerate(f.sort_key() for f in arr.hyperplanes), key=lambda p: p[1]))
 
 
 class Session:
@@ -206,20 +148,14 @@ class Session:
     of the addition that reached it (None for a chain base); ``no``
     holds the keys proven not inductively free.  Both only ever gain
     proven facts, so sharing a session changes node counts and which
-    certificate is found, never a verdict.
+    certificate is found, never a verdict.  Keys and additions name
+    forms by form key, not index, so an entry written in one arrangement
+    is read in another of equal content and other hyperplane order.
     """
 
     def __init__(self) -> None:
         self.yes: dict[tuple, tuple[tuple[int, ...], tuple | None]] = {}
         self.no: set[tuple] = set()
-        self._contexts: dict[Arrangement, _Context] = {}
-
-    def context(self, arr: Arrangement) -> _Context:
-        ctx = self._contexts.get(arr)
-        if ctx is None:
-            ctx = _Context(arr)
-            self._contexts[arr] = ctx
-        return ctx
 
 
 class _Engine:
@@ -264,26 +200,26 @@ class _Engine:
                 dead.add(stack.pop()[0][1])
         return None
 
-    def restriction_exponents(self, ctx: _Context, h0: int, restricted: tuple[int, ...]) -> tuple[int, ...] | None:
+    def restriction_exponents(self, arr: Arrangement, h0: int, restricted: tuple[int, ...]) -> tuple[int, ...] | None:
         """Exponents (padded to dim-1) of the Euler restriction, or None if it is not inductively free.
 
-        ``restricted`` is ``ctx.euler_values(state, h0)``, a state of the
-        restricted arrangement's own context; rank <= 2 spends no node.
+        ``restricted`` is ``euler_pattern(arr, h0).values(state)``, a state
+        of the restricted arrangement; rank <= 2 spends no node.
         """
-        sub_ctx = self.session.context(euler_pattern(ctx.arr, h0).arrangement)
-        exps = sub_ctx.low_rank_exponents(restricted)
-        return exps if exps is not None else self.decide(sub_ctx, restricted)
+        sub = euler_pattern(arr, h0).arrangement
+        exps = low_rank_exponents(sub, restricted)
+        return exps if exps is not None else self.decide(sub, restricted)
 
-    def decide(self, ctx: _Context, target: tuple[int, ...]) -> tuple[int, ...] | None:
+    def decide(self, arr: Arrangement, target: tuple[int, ...]) -> tuple[int, ...] | None:
         """Exponents of the target state, or None when it is not inductively free."""
         yes, no = self.session.yes, self.session.no
-        key = ctx.state_key(target)
+        key = _state_key(arr, target)
         hit = yes.get(key)
         if hit is not None:
             return hit[0]
         if key in no:
             return None
-        exps = ctx.low_rank_exponents(target)
+        exps = low_rank_exponents(arr, target)
         if exps is not None:
             self.spend()
             yes[key] = (exps, None)
@@ -305,29 +241,29 @@ class _Engine:
             last); a greedy unbalanced prefix tends to strand the walk in
             dead-end corridors and makes the search orders of magnitude slower.
             """
-            for h in sorted((i for i in range(ctx.n) if x[i] < target[i]), key=lambda i: (x[i] - target[i], target[i], i)):
+            for h in sorted((i for i in range(arr.n) if x[i] < target[i]), key=lambda i: (x[i] - target[i], target[i], i)):
                 y = x[:h] + (x[h] + 1,) + x[h + 1 :]
                 if y in dead:
                     continue
-                y_key = ctx.state_key(y)
+                y_key = _state_key(arr, y)
                 prior = yes.get(y_key)
                 if prior is not None:
                     y_exps = prior[0]
-                elif (y_exps := ctx.low_rank_exponents(y)) is not None:
+                elif (y_exps := low_rank_exponents(arr, y)) is not None:
                     yes[y_key] = (y_exps, None)
                 else:
                     # sound size prefilter: exps(y) = exps(restriction) + {b + 1},
                     # where the leftover b = |mu_x| - |mu*| must be in exps(x)
-                    restricted = ctx.euler_values(y, h)
+                    restricted = euler_pattern(arr, h).values(y)
                     if sum(x) - sum(restricted) not in x_exps:
                         continue
-                    r_exps = self.restriction_exponents(ctx, h, restricted)
+                    r_exps = self.restriction_exponents(arr, h, restricted)
                     if r_exps is None or (y_exps := check_addition_step(x_exps, r_exps)) is None:
                         continue
-                    yes[y_key] = (y_exps, ctx.form_keys[h])
+                    yes[y_key] = (y_exps, _form_keys(arr)[h])
                 yield y_exps, y
 
-        path = self.walk(((0,) * ctx.dim, (0,) * ctx.n), additions, target.__eq__, dead)
+        path = self.walk(((0,) * arr.dim, (0,) * arr.n), additions, target.__eq__, dead)
         if path is None:
             no.add(key)
             return None
@@ -373,11 +309,11 @@ def is_inductively_free(
     """
     if session is None:
         session = Session()
-    ctx = session.context(m.arrangement)
+    arr = m.arrangement
     engine = _Engine(session, budget, progress)
     state = m.mult
     try:
-        exps = engine.decide(ctx, state)
+        exps = engine.decide(arr, state)
     except BudgetExceeded:
         return InductionReport("unknown", None, (), (), None, engine.nodes)
     if exps is None:
@@ -390,19 +326,19 @@ def is_inductively_free(
     steps: list[InductionStep] = []
     cur = state
     while True:
-        cur_exps, h0_key = yes[ctx.state_key(cur)]
+        cur_exps, h0_key = yes[_state_key(arr, cur)]
         if h0_key is None:
             break
-        h0 = ctx.index_of_key[h0_key]
+        h0 = _form_keys(arr).index(h0_key)
         child_state = cur[:h0] + (cur[h0] - 1,) + cur[h0 + 1 :]
-        child_exps = yes[ctx.state_key(child_state)][0]
+        child_exps = yes[_state_key(arr, child_state)][0]
         r_exps = list(child_exps)
         r_exps.remove(next(b for b in child_exps if child_exps.count(b) > cur_exps.count(b)))
-        steps.append(InductionStep(child_exps, m.arrangement.labels[h0], tuple(r_exps)))
+        steps.append(InductionStep(child_exps, arr.labels[h0], tuple(r_exps)))
         cur = child_state
     steps.reverse()
-    base = tuple((m.arrangement.labels[i], mu) for i, mu in enumerate(cur) if mu)
-    base_exps = yes[ctx.state_key(cur)][0]
+    base = tuple((arr.labels[i], mu) for i, mu in enumerate(cur) if mu)
+    base_exps = yes[_state_key(arr, cur)][0]
     return InductionReport("yes", exps, tuple(steps), base, base_exps, engine.nodes)
 
 
@@ -484,7 +420,7 @@ class RefutationReport(NamedTuple):
 _DIGEST_CAP = 10_000
 
 
-def _digest(ctx: _Context, state: tuple[int, ...], virtual: tuple[int, ...]) -> str:
+def _digest(arr: Arrangement, state: tuple[int, ...], virtual: tuple[int, ...]) -> str:
     """Hash of a dead end: its content keyed and sorted by ``sort_key()``.
 
     The text is that of the original Fraction-keyed state keys, so the
@@ -498,8 +434,8 @@ def _digest(ctx: _Context, state: tuple[int, ...], virtual: tuple[int, ...]) -> 
             from _sha256 import sha256
         except ImportError:
             from hashlib import sha256
-    content = tuple((k, state[i]) for i, k in ctx.sort_key_order if state[i])
-    text = repr(((ctx.dim, ctx.order, content), virtual)).encode()
+    content = tuple((k, state[i]) for i, k in _sort_key_order(arr) if state[i])
+    text = repr(((arr.dim, arr.zeta_order, content), virtual)).encode()
     return sha256(text).hexdigest()[:16]
 
 
@@ -549,7 +485,7 @@ def _deletion_walk(m: MultiArrangement, exps: tuple[int, ...], b2: int, budget: 
     ``b2`` is only reported.
     """
     engine = _Engine(Session(), budget, progress)
-    ctx = engine.session.context(m.arrangement)
+    arr = m.arrangement
     dead_ends = max_depth = 0
     digests: list[str] = []
 
@@ -564,18 +500,18 @@ def _deletion_walk(m: MultiArrangement, exps: tuple[int, ...], b2: int, budget: 
         for h, mu in enumerate(state):
             if not mu:
                 continue
-            target = total - sum(ctx.euler_values(state, h))
+            target = total - sum(euler_pattern(arr, h).values(state))
             if target < 1 or target not in virtual:
                 continue
             passed = True
-            # lowering the first copy of target keeps virtual sorted; one context
-            # per run, so the raw state is as injective a key as state_key
+            # lowering the first copy of target keeps virtual sorted; one arrangement
+            # per run, so the raw state is as injective a key as _state_key
             i = virtual.index(target)
             yield h, (state[:h] + (mu - 1,) + state[h + 1 :], virtual[:i] + (target - 1,) + virtual[i + 1 :])
         if not passed:
             dead_ends += 1
             if len(digests) < _DIGEST_CAP:
-                digests.append(_digest(ctx, state, virtual))
+                digests.append(_digest(arr, state, virtual))
 
     chain = None
     try:
@@ -585,7 +521,7 @@ def _deletion_walk(m: MultiArrangement, exps: tuple[int, ...], b2: int, budget: 
             engine.spend()
             max_depth = m.total
             # deletions from the top, reversed into build order
-            chain = tuple(m.arrangement.labels[h] for h, _ in reversed(path))
+            chain = tuple(arr.labels[h] for h, _ in reversed(path))
         verdict = "refuted" if chain is None else "chain_found"
     except BudgetExceeded:
         verdict = "unknown"
@@ -682,7 +618,7 @@ def _replayed_exponents(m: MultiArrangement, session: Session, budget: int) -> t
     the replay's session decides it and its chain is replayed row by row.
     """
     if rank_of(m.arrangement) <= 2:
-        return _padded(rank2_exponents(m).exponents, m.arrangement.dim)
+        return padded(rank2_exponents(m).exponents, m.arrangement.dim)
     report = is_inductively_free(m, budget, session=session)
     if report.verdict == "unknown":
         raise BudgetExceeded

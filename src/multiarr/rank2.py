@@ -11,11 +11,13 @@ generators pass an independent polynomial-division check, their degrees
 sum to |mu| and their determinant is nonzero.  ``verify_witness`` keeps
 a kernel scan over all lower degrees as an independent oracle.
 
-The Euler multiplicity of a restriction has one route,
-:meth:`EulerPattern.value`.  For a rank-2 localization, mu*(Y) is the
-unique common nonzero exponent of (A_Y, mu_Y) and of its deletion at H0
-(the common-value rule), both pairs taken from
-:func:`plane_exponent_pair`, the one home of the rank-2 closed forms.
+The Euler multiplicity of a restriction has one route and one store,
+:meth:`EulerPattern.values`, memoized in the pattern's own cache entry.
+For a rank-2 localization, mu*(Y) is the unique common nonzero exponent
+of (A_Y, mu_Y) and of its deletion at H0 (the common-value rule), both
+pairs from :func:`plane_exponent_pair`, the one home of the rank-2
+closed forms.  On a flat of two lines, Euler values and exponent pairs
+are read from the multiplicities, with no plane built.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ __all__ = [
     "indexed_plane",
     "is_saito_basis",
     "local_b2",
+    "low_rank_exponents",
+    "padded",
     "pair_for",
     "plane_exponent_pair",
     "plane_exponents",
@@ -458,13 +462,14 @@ class EulerPattern:
     ``arrangement`` is the restriction A'' to h0, and ``groups[gid]``
     lists the parent hyperplanes that restrict onto its hyperplane gid;
     ``mults[gid]`` reads the multiplicities of h0 and of that group's
-    members from a parent multiplicity vector, and ``trace[p]`` is the
+    members from a parent multiplicity vector, the key under which
+    :meth:`values` memoizes the group's value, and ``trace[p]`` is the
     gid of parent p (None for h0).  ``flats[gid]``, h0 and the group
     sorted, is the closed set of a rank-2 flat Y: the same key for every
     h0 in Y, under which :func:`indexed_plane` keeps Y's one plane.
     """
 
-    __slots__ = ("parent", "h0", "arrangement", "trace", "groups", "flats", "mults")
+    __slots__ = ("parent", "h0", "arrangement", "trace", "groups", "flats", "mults", "_values")
 
     def __init__(self, parent: Arrangement, h0: int) -> None:
         res = restriction(parent, hyperplane_flat(parent, h0))
@@ -475,18 +480,40 @@ class EulerPattern:
         self.groups = res.groups
         self.flats = tuple(tuple(sorted((h0, *members))) for members in res.groups)
         self.mults = tuple(operator.itemgetter(h0, *members) for members in res.groups)
+        self._values: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def value(self, gid: int, mult: Sequence[int]) -> int:
         """mu* on restricted hyperplane gid, for parent multiplicities ``mult``.
 
         Zeros are allowed as long as h0 is nonzero: the value is that of
-        the support, and 0 when no member of the group is in it.
+        the support, and 0 when no member of the group is in it.  A
+        group of one member spans a flat of two lines, where the
+        common-value rule gives that member's multiplicity.
         """
-        if not any(mult[p] for p in self.groups[gid]):
+        members = self.groups[gid]
+        if len(members) == 1:
+            return mult[members[0]]
+        if not any(mult[p] for p in members):
             return 0
         lines = indexed_plane(self.parent, self.flats[gid])
         at = [p for _, p in lines].index(self.h0)
         return common_value(tuple((line, mult[p]) for line, p in lines), at, self.parent.zeta_order)
+
+    def values(self, mult: Sequence[int]) -> tuple[int, ...]:
+        """mu* of every restricted hyperplane, for parent multiplicities ``mult``.
+
+        Each value is memoized under its group's :attr:`mults` reading of
+        ``mult``, so searches and :func:`euler_multiplicity` share it.
+        """
+        memo = self._values
+        out = []
+        for gid, mults in enumerate(self.mults):
+            key = (gid, mults(mult))
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = self.value(gid, mult)
+            out.append(value)
+        return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -495,19 +522,53 @@ def euler_pattern(arr: Arrangement, h0: int) -> EulerPattern:
     return EulerPattern(arr, h0)
 
 
+def _flat_pair(arr: Arrangement, flat: tuple[int, ...], mult: Sequence[int]) -> tuple[int, ...]:
+    """Exponent pair of (arr, mult) localized at the closed set of a rank-2
+    flat, zeros allowed: two lines x^a * y^b give (a, b) sorted with no
+    plane built, more go through the flat's plane (:func:`pair_for`)."""
+    if len(flat) == 2:
+        return tuple(sorted(mult[p] for p in flat))
+    return pair_for(tuple((line, mult[p]) for line, p in indexed_plane(arr, flat)), arr.zeta_order)
+
+
+def padded(values: Iterable[int], dim: int) -> tuple[int, ...]:
+    """Sorted nonzero ``values`` padded with zeros to ``dim`` entries."""
+    nonzero = sorted(v for v in values if v)
+    if len(nonzero) > dim:
+        raise ValueError(f"{len(nonzero)} exponents will not fit in rank {dim}")
+    return (0,) * (dim - len(nonzero)) + tuple(nonzero)
+
+
 def local_b2(m: MultiArrangement) -> int:
     """b2(A, mu), the sum of d1^X * d2^X over the rank-2 flats X: the distinct
-    :attr:`EulerPattern.flats`; two lines x^a * y^b give (a, b) with no
-    plane built.  A free (A, mu) with exponents E has b2 = e2(E)
-    (Abe-Terao-Wakefield, Adv. Math. 2007)."""
+    :attr:`EulerPattern.flats`, each pair from :func:`_flat_pair`.  A free
+    (A, mu) with exponents E has b2 = e2(E) (Abe-Terao-Wakefield, Adv.
+    Math. 2007)."""
     arr, mult = m
     flats = {flat for h in range(arr.n) for flat in euler_pattern(arr, h).flats}
-    pairs = (
-        pair_for(tuple((line, mult[p]) for line, p in indexed_plane(arr, flat)), arr.zeta_order)
-        if len(flat) > 2 else (mult[flat[0]], mult[flat[1]])
-        for flat in flats
-    )
-    return sum(d1 * d2 for d1, d2 in pairs)
+    return sum(d1 * d2 for d1, d2 in (_flat_pair(arr, flat, mult) for flat in flats))
+
+
+def low_rank_exponents(arr: Arrangement, mult: Sequence[int]) -> tuple[int, ...] | None:
+    """Exponents of (arr, mult) of rank <= 2, padded to arr.dim; None for rank >= 3.
+
+    Zeros are allowed.  A support of two or more hyperplanes has rank 2
+    exactly when it lies in the rank-2 flat through its first two, whose
+    pair (:func:`_flat_pair`) is then the support's own: plane
+    coordinates depend only on the row space, which is the flat's.  In
+    dimension <= 2 that flat is all of the arrangement.
+    """
+    support = [i for i, m in enumerate(mult) if m]
+    if len(support) < 2:
+        return padded((sum(mult),), arr.dim)
+    if arr.dim <= 2:
+        flat = tuple(range(arr.n))
+    else:
+        pat = euler_pattern(arr, support[0])
+        flat = pat.flats[pat.trace[support[1]]]
+        if sum(mult[p] for p in flat) != sum(mult):
+            return None
+    return padded(_flat_pair(arr, flat, mult), arr.dim)
 
 
 def euler_multiplicity(m: MultiArrangement, h0: int) -> MultiArrangement:
@@ -517,4 +578,4 @@ def euler_multiplicity(m: MultiArrangement, h0: int) -> MultiArrangement:
     zeros is then that of the support, up to hyperplane order and labels.
     """
     pat = euler_pattern(m.arrangement, h0)
-    return MultiArrangement(pat.arrangement, tuple(pat.value(gid, m.mult) for gid in range(len(pat.groups))))
+    return MultiArrangement(pat.arrangement, pat.values(m.mult))

@@ -40,7 +40,7 @@ from multiarr.induction import (
     replay_table,
     table_rows,
 )
-from multiarr.rank2 import canonical_plane, euler_multiplicity, euler_pattern, indexed_plane, plane_exponent_pair
+from multiarr.rank2 import canonical_plane, common_value, euler_multiplicity, euler_pattern, indexed_plane, plane_exponent_pair
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -106,14 +106,14 @@ def test_once_sorted_planes_are_canonical(make) -> None:
     session = Session()
     rep = is_inductively_free(m, session=session)
     assert rep.verdict == "yes"
-    ctx = session.context(m.arrangement)
+    arr = m.arrangement
     rng = random.Random(6)
     # every pattern through a rank-2 flat asks indexed_plane for it under
     # the same key, the flat's sorted indices, so one plane object serves
     # them all; the search has built those its shortcuts missed on
     by_flat: dict[tuple[int, ...], list[int]] = {}
-    for h0 in range(ctx.n):
-        pat = euler_pattern(ctx.arr, h0)
+    for h0 in range(arr.n):
+        pat = euler_pattern(arr, h0)
         assert pat.flats == tuple(tuple(sorted((*members, h0))) for members in pat.groups)
         for gid, flat in enumerate(pat.flats):
             assert all(pat.trace[p] == gid for p in flat if p != h0) and pat.trace[h0] is None
@@ -123,8 +123,8 @@ def test_once_sorted_planes_are_canonical(make) -> None:
     hits = indexed_plane.cache_info().hits
     planes = []
     for flat in by_flat:
-        lines = indexed_plane(ctx.arr, flat)
-        assert indexed_plane(ctx.arr, flat) is lines
+        lines = indexed_plane(arr, flat)
+        assert indexed_plane(arr, flat) is lines
         assert sorted(p for _, p in lines) == list(flat)
         planes.append(lines)
     assert indexed_plane.cache_info().hits > hits + len(by_flat)
@@ -133,10 +133,10 @@ def test_once_sorted_planes_are_canonical(make) -> None:
     state = m.mult
     for step in reversed(rep.steps):
         h0 = m.arrangement.index_of_label(step.label)
-        values = ctx.euler_values(state, h0)
+        values = euler_pattern(arr, h0).values(state)
         gids = tuple(g for g, v in enumerate(values) if v)
         if len(gids) > 1:
-            sub = euler_pattern(ctx.arr, h0).arrangement
+            sub = euler_pattern(arr, h0).arrangement
             pat = euler_pattern(sub, gids[0])
             flat = pat.flats[pat.trace[gids[1]]]
             assert set(gids) <= set(flat)
@@ -163,8 +163,9 @@ def test_memo_keys_are_integer_content(make) -> None:
     session = Session()
     assert is_inductively_free(m, session=session).verdict == "yes"
     if m.arrangement.dim == 4:
-        # rank 4: the restrictions are searched in contexts of their own
-        assert len(session._contexts) > 1
+        # rank 4: the restrictions are searched, and memoized under keys
+        # of their own dimension
+        assert {key[0] for key in session.yes} == {3, 4}
     preds = [pred for _, pred in session.yes.values() if pred is not None]
     assert preds and session.yes
     assert all(int_leaves(key) for key in [*session.yes, *session.no, *preds])
@@ -175,24 +176,23 @@ def test_state_keys_follow_content_not_order() -> None:
     perm = list(range(arr.n))
     random.Random(6).shuffle(perm)
     permuted = arrangement(arr.dim, arr.zeta_order, [arr.hyperplanes[i] for i in perm], [arr.labels[i] for i in perm])
-    session = Session()
-    ctx, pctx = session.context(arr), session.context(permuted)
     box = list(itertools.product(range(2), repeat=arr.n))
-    keys = {ctx.state_key(x) for x in box}
+    keys = {induction._state_key(arr, x) for x in box}
     assert len(keys) == len(box)
     for x in box[::97]:
-        assert pctx.state_key(tuple(x[i] for i in perm)) == ctx.state_key(x)
+        assert induction._state_key(permuted, tuple(x[i] for i in perm)) == induction._state_key(arr, x)
 
 
 @pytest.mark.parametrize("make", [lambda: shipped_fixture("g33_a2_kappa"), a342_kappa], ids=["g33_a2_kappa", "A:3:4:2"])
 def test_memoized_sizes_along_deletion_paths_match_the_support(make) -> None:
-    # a group's Euler value is memoized under the multiplicities of h0 and
-    # of the group's members; along random deletion paths, as the refuter
-    # walks them, a size read through the memo warmed by the states before
-    # must equal the Euler restriction of the support
+    # a group's Euler value is memoized in its pattern under the
+    # multiplicities of h0 and of the group's members; along random
+    # deletion paths, as the refuter walks them, a size read through the
+    # memo warmed by the states before must equal the Euler restriction
+    # of the support
     m = make()
     arr = m.arrangement
-    ctx = Session().context(arr)
+    euler_pattern.cache_clear()
     rng = random.Random(8)
     lookups = 0
     for _ in range(4):
@@ -205,34 +205,33 @@ def test_memoized_sizes_along_deletion_paths_match_the_support(make) -> None:
                 if not state[h]:
                     continue
                 em = euler_multiplicity(support, support.arrangement.index_of_label(arr.labels[h]))
-                values = ctx.euler_values(state, h)
+                values = euler_pattern(arr, h).values(state)
                 assert sum(values) == em.total
                 assert sorted(v for v in values if v) == sorted(em.mult)
                 lookups += len(values)
     # most lookups are memo hits
-    assert 2 * len(ctx._euler_values) < lookups
+    assert 2 * sum(len(euler_pattern(arr, h)._values) for h in range(arr.n)) < lookups
 
 
 @pytest.mark.parametrize(
     "make", [lambda: spec_simple("A:2:4:4"), lambda: spec_simple("A:3:4:4"), a342_kappa], ids=["A:2:4:4", "A:3:4:4", "A:3:4:2"]
 )
 def test_restriction_routes_agree(make) -> None:
-    # the search's route (Euler values read through its memo, the
-    # restriction searched as a state of the restricted context, zeros
-    # kept) against the replay route (euler_multiplicity of the support,
+    # the search's route (Euler values read through the pattern's memo,
+    # the restriction searched as a state of the restricted arrangement,
+    # zeros kept) against the replay route (euler_multiplicity of the support,
     # solved or searched and replayed on a session of its own)
     m = make()
     arr = m.arrangement
     engine = _Engine(Session(), DEFAULT_BUDGET)
     replay = Session()
-    ctx = engine.session.context(arr)
     rng = random.Random(9)
     free = set()
     for _ in range(6):
         y = tuple(rng.randint(0, mu) for mu in m.mult)
         support = multi(arr, y)
         for h in (i for i, mu in enumerate(y) if mu):
-            exps = engine.restriction_exponents(ctx, h, ctx.euler_values(y, h))
+            exps = engine.restriction_exponents(arr, h, euler_pattern(arr, h).values(y))
             em = euler_multiplicity(support, support.arrangement.index_of_label(arr.labels[h]))
             free.add(exps is not None)
             if exps is not None:
@@ -248,7 +247,7 @@ def test_restriction_routes_agree(make) -> None:
     state = m.mult
     for step in reversed(rep.steps):
         h = arr.index_of_label(step.label)
-        assert engine.restriction_exponents(ctx, h, ctx.euler_values(state, h)) == step.restriction_exponents
+        assert engine.restriction_exponents(arr, h, euler_pattern(arr, h).values(state)) == step.restriction_exponents
         state = state[:h] + (state[h] - 1,) + state[h + 1 :]
 
 
@@ -258,15 +257,13 @@ def test_restriction_routes_agree(make) -> None:
 def test_low_rank_exponents_match_the_per_support_route(make) -> None:
     # the rank-2 flat through the first two hyperplanes of the support
     # against the route it replaced: the rank of the support, then the
-    # plane of the support itself; in the top context and in restricted
-    # ones, on random states with zeros
+    # plane of the support itself; in the top arrangement and in
+    # restricted ones, on random states with zeros
     m = make()
-    session = Session()
     rng = random.Random(12)
     arrs = [m.arrangement] + [euler_pattern(m.arrangement, h0).arrangement for h0 in rng.sample(range(m.arrangement.n), 3)]
     ranks = []
     for arr in arrs:
-        ctx = session.context(arr)
         flats = [flat for h0 in range(arr.n) for flat in euler_pattern(arr, h0).flats]
         for _ in range(80):
             # a random support, or a random part of a rank-2 flat
@@ -275,7 +272,7 @@ def test_low_rank_exponents_match_the_per_support_route(make) -> None:
             state = tuple(rng.randint(1, 4) if i in picked else 0 for i in range(arr.n))
             support = [i for i in range(arr.n) if state[i]]
             rank = linalg.rank([arr.hyperplanes[i].coeffs for i in support], arr.dim)
-            got = ctx.low_rank_exponents(state)
+            got = rank2.low_rank_exponents(arr, state)
             ranks.append((rank, len(support)))
             if rank >= 3:
                 assert got is None
@@ -312,7 +309,7 @@ def test_low_rank_questions_make_few_rrefs(monkeypatch) -> None:
 
 def test_rank2_contexts_build_no_euler_pattern(monkeypatch) -> None:
     # a rank-2 restriction's low-rank questions read the one plane of the
-    # whole arrangement; only the rank-3 top context builds patterns
+    # whole arrangement; only the rank-3 top arrangement builds patterns
     built = []
     pattern = rank2.EulerPattern
     monkeypatch.setattr(rank2, "EulerPattern", lambda arr, h0: built.append(arr) or pattern(arr, h0))
@@ -478,6 +475,46 @@ def test_replay_restricts_the_certificates_own_arrangement(monkeypatch) -> None:
     assert sorted(h0 for _, h0 in built) == sorted(m.arrangement.index_of_label(label) for label in labels)
 
 
+def test_replay_solves_each_euler_value_once(monkeypatch) -> None:
+    # common_value runs once per (pattern, group, multiplicities), only for
+    # groups of two or more members, and never again for a second replay:
+    # the value is memoized in the pattern, not in a session
+    m = load_fixture(DATA / "a444_kappa.arr")
+    doc = json.loads((DATA / "a444_kappa.json").read_text(encoding="utf-8"))
+    calls, solved = [], []
+    value = rank2.EulerPattern.value
+
+    def recorded(self, gid, mult):
+        before = len(calls)
+        out = value(self, gid, mult)
+        if len(calls) > before:
+            solved.append((self, gid, self.mults[gid](mult)))
+        return out
+
+    monkeypatch.setattr(rank2.EulerPattern, "value", recorded)
+    monkeypatch.setattr(rank2, "common_value", lambda *args: calls.append(args) or common_value(*args))
+    euler_pattern.cache_clear()
+    assert replay_table(m, doc)[1] == (5, 9, 13)
+    assert calls and len(calls) == len(solved) == len(set(solved))
+    assert all(len(pat.groups[gid]) > 1 for pat, gid, _ in solved)
+    assert replay_table(m, doc)[1] == (5, 9, 13)
+    euler_pattern.cache_clear()
+    assert len(calls) == len(solved)
+
+
+def test_refuter_builds_no_two_line_plane(monkeypatch) -> None:
+    # a flat of two lines gives its Euler values and its b2 term from the
+    # multiplicities, so only flats of three or more lines get a plane
+    asked = []
+    build = rank2.indexed_plane
+    monkeypatch.setattr(rank2, "indexed_plane", lambda arr, indices: asked.append(indices) or build(arr, indices))
+    indexed_plane.cache_clear()
+    euler_pattern.cache_clear()
+    assert additive_refuter(shipped_fixture("g33_a2_kappa"), (7, 9, 11)).verdict == "chain_found"
+    assert asked and all(len(indices) > 2 for indices in asked)
+    assert build.cache_info().currsize == len(set(asked))
+
+
 def test_table_rendering() -> None:
     rep = is_inductively_free(spec_simple("A:2:3:0"))
     text = emit_induction_table(rep)
@@ -525,6 +562,8 @@ def test_refuter_solves_few_planes(monkeypatch) -> None:
     monkeypatch.setattr(rank2, "_order_basis", lambda *args: calls.append(args) or solve(*args))
     kappa = shipped_fixture("g33_a2_kappa")
     for exps, verdict, solved in (((7, 9, 11), "chain_found", 11), ((8, 8, 11), "refuted", 4)):
+        # the Euler values are memoized in the patterns, so both caches start cold
+        euler_pattern.cache_clear()
         plane_exponent_pair.cache_clear()
         calls.clear()
         assert additive_refuter(kappa, exps).verdict == verdict

@@ -21,7 +21,7 @@ from multiarr.arrangement import (
     ziegler_multiplicity,
 )
 from multiarr import rank2
-from multiarr.catalog import intermediate, parse_spec_string, shipped_fixture
+from multiarr.catalog import intermediate, parse_spec_string, shipped_fixture, shipped_fixture_names
 from multiarr.rank2 import (
     Rank2Derivation,
     Rank2Result,
@@ -293,8 +293,35 @@ def test_pattern_values_with_zeros_match_the_support(make, monkeypatch) -> None:
             values = {form: pat.value(gid, state) for gid, form in enumerate(pat.arrangement.hyperplanes)}
             # a restricted hyperplane that no support member maps onto gets 0
             assert values == dict.fromkeys(values, 0) | dict(zip(em.arrangement.hyperplanes, em.mult))
-            # every other value comes from the common-value rule
-            assert len(calls) - before == sum(1 for v in values.values() if v)
+            # every other value of a group of two or more members comes
+            # from the common-value rule; one member is its own value
+            wide = [gid for gid, members in enumerate(pat.groups) if len(members) > 1]
+            assert len(calls) - before == sum(1 for gid in wide if values[pat.arrangement.hyperplanes[gid]])
+
+
+@pytest.mark.parametrize("name", [name for name in shipped_fixture_names() if "kappa" in name])
+def test_one_member_groups_take_the_common_value(name) -> None:
+    # a group of one member is a flat of two lines: its value, read from
+    # the member's multiplicity, against the common-value rule on the
+    # flat's plane, for random multiplicities with zeros
+    arr = shipped_fixture(name).arrangement
+    rng = random.Random(13)
+    checked = 0
+    for h0 in range(arr.n):
+        pat = euler_pattern(arr, h0)
+        for gid, members in enumerate(pat.groups):
+            if len(members) > 1:
+                continue
+            lines = indexed_plane(arr, pat.flats[gid])
+            at = [p for _, p in lines].index(h0)
+            for _ in range(4):
+                mult = [rng.randint(0, 3) for _ in range(arr.n)]
+                mult[h0] = rng.randint(1, 3)
+                plane = tuple((line, mult[p]) for line, p in lines)
+                want = common_value(plane, at, arr.zeta_order) if mult[members[0]] else 0
+                assert pat.value(gid, mult) == want
+                checked += 1
+    assert checked
 
 
 def test_euler_matches_ziegler_above_simple() -> None:
