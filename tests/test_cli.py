@@ -101,49 +101,49 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        pin(["indfree", "--fixture", "g33_a2_kappa"], "239bf18c475ac91f74945d845ceee489d4320b860a7ed673f5f0a63bda69cc61"),
-        pin(
+        (["indfree", "--fixture", "g33_a2_kappa"], "239bf18c475ac91f74945d845ceee489d4320b860a7ed673f5f0a63bda69cc61"),
+        (
             ["indfree", "--spec", "A:3:4:2", "--ziegler", "H_{1,2}(1)"],
             "0bcdedd5132450e3857b932c704da8137a7dd005dda9cfa939bb3b15aea02a73",
         ),
-        pin(
+        (
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 9 11"],
             "a272e8e2d449be0264759c10347e94407bb5021d79d4fc8ad1475caf238bfd23",
         ),
-        pin(["table", "--shipped-table", "g33_a2_kappa"], "2cb9858fd69d57b8d05c6a9f049efa351ddebfe7325f5dc6a1d13b297c6d7f3a"),
-        pin(["charpoly", "--spec", "A:5:3:0"], "c58d94016b3adca5dde2340f0ebb9860c830e45b9a5f2adf369ad2edc680357d"),
+        (["table", "--shipped-table", "g33_a2_kappa"], "2cb9858fd69d57b8d05c6a9f049efa351ddebfe7325f5dc6a1d13b297c6d7f3a"),
+        (["charpoly", "--spec", "A:5:3:0"], "c58d94016b3adca5dde2340f0ebb9860c830e45b9a5f2adf369ad2edc680357d"),
         # taken at the parent commit of the integer memo keys: A:2:4:4 has
         # rank 4, so its search shares memo keys across arrangements, and
         # hereditary runs 14 checks on one session
-        pin(["indfree", "--spec", "A:2:4:4"], "e661d32e19ec65abb73274cc0e88af28eb340705e9a875e7daf299c55d6d8e86"),
-        pin(["hereditary", "--spec", "A:2:3:0"], "a079a3be864485aa92a26fd289f0fe34b82d59fe2e001686304dbb6259c417c0"),
+        (["indfree", "--spec", "A:2:4:4"], "e661d32e19ec65abb73274cc0e88af28eb340705e9a875e7daf299c55d6d8e86"),
+        (["hereditary", "--spec", "A:2:3:0"], "a079a3be864485aa92a26fd289f0fe34b82d59fe2e001686304dbb6259c417c0"),
         # every refute pin was re-taken when b2 began to refute at the root:
         # these two end there (1 explored, 0 dead ends)
-        pin(
+        (
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "8 8 11"],
             "3791c315e8130e8ad402196aa52e363b57fedfbb9aae3b8d87f8e3f83320ca6e",
         ),
-        pin(
+        (
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 10 10"],
             "823c4461829b35a0292d64e674129f89a160ce655f5e10405fef562126138383",
         ),
         # taken at the parent commit of the searched Euler restrictions with
         # zero multiplicities kept: both recurse into rank-3 restrictions
         # whose support misses some restricted hyperplanes
-        pin(["indfree", "--spec", "A:3:4:4"], "dc91622b62e3a695ae3d80e4f84360062765967376895e971a47461a545f76c8"),
-        pin(["hereditary", "--spec", "A:2:4:4"], "c4e09cf841647234729c05987c3b83db2447d48d40893a4d8b2d0acf914549c1"),
+        (["indfree", "--spec", "A:3:4:4"], "dc91622b62e3a695ae3d80e4f84360062765967376895e971a47461a545f76c8"),
+        (["hereditary", "--spec", "A:2:4:4"], "c4e09cf841647234729c05987c3b83db2447d48d40893a4d8b2d0acf914549c1"),
         # a budget of 100 and two g34 inputs, all refuted at the root by b2;
         # the walk's own budget cut and exhaustive refutations are pinned in
         # test_induction
-        pin(
+        (
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "8 8 11", "--budget", "100"],
             "3791c315e8130e8ad402196aa52e363b57fedfbb9aae3b8d87f8e3f83320ca6e",
         ),
-        pin(
+        (
             ["refute", "--fixture", "g34_g333_kappa", "--exponents", "14 15 19"],
             "c50af52621e79e0450ddc4359919d40e5aa072fe41aa385f4fec8d7d5ddd165d",
         ),
-        pin(
+        (
             ["refute", "--fixture", "g34_a1a2_kappa", "--exponents", "14 18 23"],
             "a3c478e9bd0d3bdff2b07c694f1a9f48413940e7dfdf27c5bc3b9a5c17fe2133",
         ),
@@ -151,13 +151,13 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
         # exhaustive no (256 nodes), an unknown inside a restricted
         # sub-search, a budget overdrawn by entering the empty state
         # (28 explored, depth 26), and a budget of 500 that b2 no longer needs
-        pin(["indfree", "--spec", "A:3:3:0"], "a240e378ba00b0898518bf9503de019e04187890c3c11bccac468287e9cb3cc8"),
-        pin(["indfree", "--spec", "A:3:4:4", "--budget", "20"], "e349f8e5d52479164bff297b1444732337b5df73046cd92e57a3a4de4f910a75"),
-        pin(
+        (["indfree", "--spec", "A:3:3:0"], "a240e378ba00b0898518bf9503de019e04187890c3c11bccac468287e9cb3cc8"),
+        (["indfree", "--spec", "A:3:4:4", "--budget", "20"], "e349f8e5d52479164bff297b1444732337b5df73046cd92e57a3a4de4f910a75"),
+        (
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 9 11", "--budget", "27"],
             "3dc8ad1689ee63034eb42be33f4184a46a81960fc7d8988bab3567e0362c8aef",
         ),
-        pin(
+        (
             ["refute", "--fixture", "g34_g333_kappa", "--exponents", "14 15 19", "--budget", "500"],
             "c50af52621e79e0450ddc4359919d40e5aa072fe41aa385f4fec8d7d5ddd165d",
         ),
