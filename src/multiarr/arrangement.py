@@ -9,9 +9,10 @@ Conventions used throughout the package:
   hyperplanes together with parallel labels; the order is significant
   (labels like ``a5`` refer to positions) but all mathematical results
   are independent of it;
-- a :class:`MultiArrangement` pairs an arrangement with positive integer
-  multiplicities; multiplicity-0 hyperplanes are dropped from the
-  support on construction;
+- a :class:`MultiArrangement` pairs an arrangement with multiplicities
+  >= 0; :func:`multi` drops the zeros, Euler restrictions keep them;
+- :func:`state_key`, built on :func:`form_keys`, is the one content key:
+  it ignores hyperplane order and zero multiplicities;
 - a :class:`Flat` is an intersection of hyperplanes, recorded by its
   closed index set, its rank and canonical defining equations (reduced
   row echelon basis of the span of its forms, with their pivots);
@@ -38,6 +39,7 @@ __all__ = [
     "characteristic_polynomial",
     "concentrated_multiplicity",
     "essentialize",
+    "form_keys",
     "free_exponents_from_charpoly",
     "hyperplane_flat",
     "intersection_lattice",
@@ -48,6 +50,7 @@ __all__ = [
     "rank_of",
     "restriction",
     "simple_multi",
+    "state_key",
     "ziegler_multiplicity",
 ]
 
@@ -60,9 +63,6 @@ class LinearForm(NamedTuple):
     @property
     def dim(self) -> int:
         return len(self.coeffs)
-
-    def sort_key(self) -> tuple:
-        return tuple(c.sort_key() for c in self.coeffs)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -276,7 +276,7 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
 
 
 class MultiArrangement(NamedTuple):
-    """An arrangement with positive integer multiplicities."""
+    """An arrangement with integer multiplicities >= 0 (zeros are kept)."""
 
     arrangement: Arrangement
     mult: tuple[int, ...]
@@ -286,12 +286,24 @@ class MultiArrangement(NamedTuple):
         """|mu|, the sum of all multiplicities."""
         return sum(self.mult)
 
-    def key(self) -> tuple:
-        """Canonical content key: sorted (form, multiplicity) pairs."""
-        pairs = sorted(
-            ((f.sort_key(), m) for f, m in zip(self.arrangement.hyperplanes, self.mult)),
-        )
-        return (self.arrangement.dim, self.arrangement.zeta_order, tuple(pairs))
+
+@functools.lru_cache(maxsize=None)
+def form_keys(arr: Arrangement) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The integer content key of each form: Scalars are canonical, so it
+    is injective and equal for equal forms of different arrangements."""
+    return tuple(tuple((c.num, c.den) for c in f.coeffs) for f in arr.hyperplanes)
+
+
+@functools.lru_cache(maxsize=None)
+def _key_order(arr: Arrangement) -> tuple[tuple[int, tuple], ...]:
+    """(index, form key) of each form in key order; the keys are distinct,
+    so this one sort orders every state key of ``arr``."""
+    return tuple(sorted(enumerate(form_keys(arr)), key=lambda p: p[1]))
+
+
+def state_key(arr: Arrangement, mult: Sequence[int]) -> tuple:
+    """The content key of (arr, mult): dimension, field and its (form key, mu) pairs, zeros dropped."""
+    return (arr.dim, arr.zeta_order, tuple((k, mult[i]) for i, k in _key_order(arr) if mult[i]))
 
 
 def multi(arr: Arrangement, mult: list[int] | tuple[int, ...]) -> MultiArrangement:

@@ -14,15 +14,15 @@ restriction instead of a blind recursive subtree.  Candidates at each
 state are ordered by descending multiplicity deficit (ties: lighter
 target first, then index), and a memo keyed by the canonical (forms,
 multiplicities) content makes verdicts independent of the call path.
-The content key of a form is its coefficients as integer (numerators,
-denominator) pairs, which is exact because scalars are stored in
-lowest terms, and equal for equal forms of different arrangements, so
-restrictions share the memo too.  The memo belongs to a
+That key, :func:`.arrangement.state_key`, reads each form as integer
+(numerators, denominator) pairs, which is exact because scalars are
+stored in lowest terms, and equal for equal forms of different
+arrangements, so restrictions share the memo too.  The memo belongs to a
 :class:`Session`, which holds only proven search facts: calls that
 share a session share their verdicts, and a call without one starts a
 fresh session, so its node count depends only on its input.  What is
-derived from one arrangement (form keys here, Euler values and planes
-in :mod:`.rank2`) lives in module caches keyed by the arrangement.
+derived from one arrangement (form keys in :mod:`.arrangement`, Euler
+values and planes in :mod:`.rank2`) lives in module caches keyed by it.
 
 Positive answers carry a replayable chain of addition steps; negative
 answers are exhaustive (the whole reachable set below the target was
@@ -53,12 +53,14 @@ from .arrangement import (
     Arrangement,
     Flat,
     MultiArrangement,
+    form_keys,
     intersection_lattice,
     localize_multi,
     multi,
     rank_of,
     restriction,
     simple_multi,
+    state_key,
 )
 from .rank2 import euler_multiplicity, euler_pattern, local_b2, low_rank_exponents, padded, rank2_exponents
 
@@ -116,29 +118,10 @@ def check_addition_step(before: tuple[int, ...], restricted: tuple[int, ...]) ->
 
 
 @functools.lru_cache(maxsize=None)
-def _form_keys(arr: Arrangement) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The integer content key of each form: Scalars are canonical, so it
-    is injective and equal for equal forms of different arrangements."""
-    return tuple(tuple((c.num, c.den) for c in f.coeffs) for f in arr.hyperplanes)
-
-
-@functools.lru_cache(maxsize=None)
-def _key_order(arr: Arrangement) -> tuple[tuple[int, tuple], ...]:
-    """(index, form key) of each form in key order; the keys are distinct,
-    so this one sort orders every state key of ``arr``."""
-    return tuple(sorted(enumerate(_form_keys(arr)), key=lambda p: p[1]))
-
-
-def _state_key(arr: Arrangement, state: tuple[int, ...]) -> tuple:
-    """The memo key of a state: dimension, field and its (form key, mu) content."""
-    return (arr.dim, arr.zeta_order, tuple((k, state[i]) for i, k in _key_order(arr) if state[i]))
-
-
-@functools.lru_cache(maxsize=None)
-def _sort_key_order(arr: Arrangement) -> tuple[tuple[int, tuple], ...]:
-    """(index, ``sort_key()``) of each form, in sort-key order; only the
+def _digest_order(arr: Arrangement) -> tuple[tuple[tuple, int], ...]:
+    """(Fraction coefficients, index) of each form, sorted; only the
     refuter's dead-end digests use it, so it is built at the first one."""
-    return tuple(sorted(enumerate(f.sort_key() for f in arr.hyperplanes), key=lambda p: p[1]))
+    return tuple(sorted((tuple(c.coeffs for c in f.coeffs), i) for i, f in enumerate(arr.hyperplanes)))
 
 
 class Session:
@@ -213,7 +196,7 @@ class _Engine:
     def decide(self, arr: Arrangement, target: tuple[int, ...]) -> tuple[int, ...] | None:
         """Exponents of the target state, or None when it is not inductively free."""
         yes, no = self.session.yes, self.session.no
-        key = _state_key(arr, target)
+        key = state_key(arr, target)
         hit = yes.get(key)
         if hit is not None:
             return hit[0]
@@ -245,7 +228,7 @@ class _Engine:
                 y = x[:h] + (x[h] + 1,) + x[h + 1 :]
                 if y in dead:
                     continue
-                y_key = _state_key(arr, y)
+                y_key = state_key(arr, y)
                 prior = yes.get(y_key)
                 if prior is not None:
                     y_exps = prior[0]
@@ -260,7 +243,7 @@ class _Engine:
                     r_exps = self.restriction_exponents(arr, h, restricted)
                     if r_exps is None or (y_exps := check_addition_step(x_exps, r_exps)) is None:
                         continue
-                    yes[y_key] = (y_exps, _form_keys(arr)[h])
+                    yes[y_key] = (y_exps, form_keys(arr)[h])
                 yield y_exps, y
 
         path = self.walk(((0,) * arr.dim, (0,) * arr.n), additions, target.__eq__, dead)
@@ -326,19 +309,19 @@ def is_inductively_free(
     steps: list[InductionStep] = []
     cur = state
     while True:
-        cur_exps, h0_key = yes[_state_key(arr, cur)]
+        cur_exps, h0_key = yes[state_key(arr, cur)]
         if h0_key is None:
             break
-        h0 = _form_keys(arr).index(h0_key)
+        h0 = form_keys(arr).index(h0_key)
         child_state = cur[:h0] + (cur[h0] - 1,) + cur[h0 + 1 :]
-        child_exps = yes[_state_key(arr, child_state)][0]
+        child_exps = yes[state_key(arr, child_state)][0]
         r_exps = list(child_exps)
         r_exps.remove(next(b for b in child_exps if child_exps.count(b) > cur_exps.count(b)))
         steps.append(InductionStep(child_exps, arr.labels[h0], tuple(r_exps)))
         cur = child_state
     steps.reverse()
     base = tuple((arr.labels[i], mu) for i, mu in enumerate(cur) if mu)
-    base_exps = yes[_state_key(arr, cur)][0]
+    base_exps = yes[state_key(arr, cur)][0]
     return InductionReport("yes", exps, tuple(steps), base, base_exps, engine.nodes)
 
 
@@ -421,10 +404,10 @@ _DIGEST_CAP = 10_000
 
 
 def _digest(arr: Arrangement, state: tuple[int, ...], virtual: tuple[int, ...]) -> str:
-    """Hash of a dead end: its content keyed and sorted by ``sort_key()``.
+    """Hash of a dead end: its content keyed and sorted by Fraction coefficients.
 
     The text is that of the original Fraction-keyed state keys, so the
-    digests stay comparable across versions; it is built only here.
+    digests stay comparable across versions; nothing else renders it.
     The builtin ``_sha2`` (``_sha256`` before 3.12) spares it OpenSSL.
     """
     try:
@@ -434,7 +417,7 @@ def _digest(arr: Arrangement, state: tuple[int, ...], virtual: tuple[int, ...]) 
             from _sha256 import sha256
         except ImportError:
             from hashlib import sha256
-    content = tuple((k, state[i]) for i, k in _sort_key_order(arr) if state[i])
+    content = tuple((k, state[i]) for k, i in _digest_order(arr) if state[i])
     text = repr(((arr.dim, arr.zeta_order, content), virtual)).encode()
     return sha256(text).hexdigest()[:16]
 
@@ -505,7 +488,7 @@ def _deletion_walk(m: MultiArrangement, exps: tuple[int, ...], b2: int, budget: 
                 continue
             passed = True
             # lowering the first copy of target keeps virtual sorted; one arrangement
-            # per run, so the raw state is as injective a key as _state_key
+            # per run, so the raw state is as injective a key as state_key
             i = virtual.index(target)
             yield h, (state[:h] + (mu - 1,) + state[h + 1 :], virtual[:i] + (target - 1,) + virtual[i + 1 :])
         if not passed:

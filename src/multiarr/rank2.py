@@ -80,13 +80,13 @@ class Rank2Result(NamedTuple):
 
 
 def canonical_plane(lines: Iterable[tuple[tuple[Scalar, Scalar], int]]) -> Plane:
-    """A plane system in canonical line order: coordinates, then multiplicity.
+    """A plane system in canonical line order: the form key of the coordinates.
 
     The lines of one plane are distinct, so the coordinates alone decide
     the order: the second slot may carry any int, such as a hyperplane
     index, and the order found is then valid for every multiplicity.
     """
-    return tuple(sorted(lines, key=lambda p: (tuple(c.sort_key() for c in p[0]), p[1])))
+    return tuple(sorted(lines, key=lambda p: tuple((c.num, c.den) for c in p[0])))
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,12 +11,11 @@ Phi_r is monic with integer coefficients, so sums, products and the
 reduction modulo Phi_r stay in the integers, with one gcd per result.  An
 inverse is integer work too: the extended Euclidean algorithm against
 Phi_r.
-``fractions.Fraction`` appears only at the edges: as input coefficients,
-in the derived :attr:`Scalar.coeffs` and in :meth:`Scalar.sort_key`.  The
-sort key orders the lines of a plane once per plane built
-(``rank2.canonical_plane``), sorts content keys such as
-``MultiArrangement.key`` and the refuter's dead-end digests, whose text
-it fixes; search memo keys use the integer ``num`` and ``den`` instead.
+``fractions.Fraction`` appears only at the edges: as input coefficients
+and in the derived :attr:`Scalar.coeffs`, which printing reads and the
+refuter's dead-end digests hash, frozen for byte stability.  The content
+key (``arrangement.state_key``) and the line order of planes use the
+integer ``num`` and ``den`` instead.
 
 For r = 1 the basis is just {1}, so scalars are plain rationals.
 
@@ -357,10 +356,6 @@ class Scalar:
             base = base * base
             k >>= 1
         return result
-
-    def sort_key(self) -> tuple[Fraction, ...]:
-        """A total order on scalars of one field, for canonical sorting."""
-        return self.coeffs
 
     def __str__(self) -> str:
         coeffs = self.coeffs

@@ -29,6 +29,7 @@ from .arrangement import (
     intersection_lattice,
     localize_multi,
     simple_multi,
+    state_key,
     ziegler_multiplicity,
     MultiArrangement,
 )
@@ -186,7 +187,7 @@ def _check_fixture_derivation() -> tuple[bool, str]:
         h0 = parent.arrangement.index_of_label(h0_label)
         zm = ziegler_multiplicity(parent.arrangement, h0)
         target = shipped_fixture(target_name)
-        if zm.key() != target.key():
+        if state_key(*zm) != state_key(*target):
             bad.append(
                 f"Ziegler restriction of {parent_name} at {h0_label} does not "
                 f"reproduce {target_name} (content differs)"

@@ -14,6 +14,7 @@ from multiarr.arrangement import (
     multi,
     restriction,
     simple_multi,
+    state_key,
 )
 from multiarr.catalog import (
     FixtureError,
@@ -128,7 +129,7 @@ def test_fixture_format_round_trips(m) -> None:
     text = format_fixture(m, header="scratch\nsecond line")
     assert text.startswith("# scratch\n# second line\n")
     parsed = parse_fixture(text)
-    assert parsed.key() == m.key()
+    assert state_key(*parsed) == state_key(*m)
 
 
 def test_fixture_parsing_tolerates_comments() -> None:

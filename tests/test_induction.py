@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from multiarr import induction, linalg, rank2
-from multiarr.arrangement import arrangement, multi, rank_of, simple_multi, ziegler_multiplicity
+from multiarr.arrangement import arrangement, multi, rank_of, simple_multi, state_key, ziegler_multiplicity
 from multiarr.catalog import (
     IntermediateSpec,
     expected_exponents,
@@ -41,6 +41,7 @@ from multiarr.induction import (
     table_rows,
 )
 from multiarr.rank2 import canonical_plane, common_value, euler_multiplicity, euler_pattern, indexed_plane, plane_exponent_pair
+from multiarr.scalars import one, zero, zeta
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -177,10 +178,25 @@ def test_state_keys_follow_content_not_order() -> None:
     random.Random(6).shuffle(perm)
     permuted = arrangement(arr.dim, arr.zeta_order, [arr.hyperplanes[i] for i in perm], [arr.labels[i] for i in perm])
     box = list(itertools.product(range(2), repeat=arr.n))
-    keys = {induction._state_key(arr, x) for x in box}
+    keys = {state_key(arr, x) for x in box}
     assert len(keys) == len(box)
     for x in box[::97]:
-        assert induction._state_key(permuted, tuple(x[i] for i in perm)) == induction._state_key(arr, x)
+        assert state_key(permuted, tuple(x[i] for i in perm)) == state_key(arr, x)
+
+
+def test_state_keys_separate_fields() -> None:
+    # (1, 0), (0, 1), (1, z) have the same integer numerators over Q(zeta_3)
+    # and Q(zeta_6), so only the field in the key keeps their states apart
+    def multis(order: int):
+        o, z = one(order), zero(order)
+        return multi(arrangement(2, order, [(o, z), (z, o), (o, zeta(order))]), [2, 1, 3])
+
+    m3, m6 = multis(3), multis(6)
+    assert state_key(*m3)[2] == state_key(*m6)[2] and state_key(*m3) != state_key(*m6)
+    session = Session()
+    assert is_inductively_free(m3, session=session).nodes == 1
+    assert is_inductively_free(m3, session=session).nodes == 0
+    assert is_inductively_free(m6, session=session).nodes == 1
 
 
 @pytest.mark.parametrize("make", [lambda: shipped_fixture("g33_a2_kappa"), a342_kappa], ids=["g33_a2_kappa", "A:3:4:2"])
@@ -442,7 +458,7 @@ def test_replay_searches_each_restriction_once(monkeypatch, spec) -> None:
 
     def counted(sub, *args, **kwargs):
         report = search(sub, *args, **kwargs)
-        calls.append((sub.key(), report.nodes))
+        calls.append((state_key(*sub), report.nodes))
         return report
 
     monkeypatch.setattr(induction, "is_inductively_free", counted)
