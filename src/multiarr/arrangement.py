@@ -152,7 +152,12 @@ def arrangement(
 
 
 class Flat(NamedTuple):
-    """An element of the intersection lattice."""
+    """An element of the intersection lattice.
+
+    ``equations`` is always the RREF basis of the span of the flat's
+    forms, and ``pivots`` its pivot columns; :func:`restriction` relies
+    on it.
+    """
 
     closed: tuple[int, ...]
     rank: int
@@ -180,7 +185,7 @@ def intersection_lattice(arr: Arrangement, max_rank: int | None = None) -> tuple
     in another cover of X, as a hyperplane in one cover of X contains no
     other.  RREF equations are canonical, so the output does not depend
     on which route met a flat first.  No flat gets a kernel basis;
-    :func:`restriction` computes the one it needs.
+    :func:`restriction` reads its coordinates off the RREF equations.
     """
     if max_rank is not None and max_rank < 0:
         raise ValueError(f"max_rank must be >= 0, got {max_rank}")
@@ -248,10 +253,17 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
     """Restrict to a flat, in the coordinates of its canonical kernel basis.
 
     The basis is the :func:`linalg.nullspace` of the flat's equations,
-    computed here, per call: the standard basis for the top flat.
+    one vector per free column f: 1 at f, -eq_i[f] at each pivot p_i.
+    The flat's equations must be in RREF with their pivots, as every
+    :class:`Flat` is built (:func:`hyperplane_flat`,
+    :func:`intersection_lattice`), so the basis is never formed: the
+    coordinate of a form h at f is h[f] - sum_i h[p_i] * eq_i[f], read
+    off the equations with no elimination and no product by zero.  The
+    standard basis for the flat of rank 0.
     """
     closed = set(flat.closed)
-    basis = linalg.nullspace(flat.equations, arr.dim, arr.zeta_order)
+    pivots = set(flat.pivots)
+    free = [f for f in range(arr.dim) if f not in pivots]
     forms: list[LinearForm] = []
     labels: list[str] = []
     index: dict[LinearForm, int] = {}
@@ -261,7 +273,14 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
         if i in closed:
             trace.append(None)
             continue
-        restricted = linear_form([linalg.dot(h.coeffs, b) for b in basis])
+        coeffs = list(h.coeffs)
+        for eq, p in zip(flat.equations, flat.pivots):
+            w = h.coeffs[p]
+            if w:
+                for f in free:
+                    if eq[f]:
+                        coeffs[f] = coeffs[f] - w * eq[f]
+        restricted = linear_form([coeffs[f] for f in free])
         found = index.get(restricted)
         if found is None:
             found = len(forms)
@@ -271,7 +290,7 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
             groups.append([])
         trace.append(found)
         groups[found].append(i)
-    sub = Arrangement(len(basis), arr.zeta_order, tuple(forms), tuple(labels))
+    sub = Arrangement(len(free), arr.zeta_order, tuple(forms), tuple(labels))
     return Restriction(sub, tuple(trace), tuple(map(tuple, groups)))
 
 

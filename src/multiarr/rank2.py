@@ -11,6 +11,12 @@ generators pass an independent polynomial-division check, their degrees
 sum to |mu| and their determinant is nonzero.  ``verify_witness`` keeps
 a kernel scan over all lower degrees as an independent oracle.
 
+A pair with no witness (:func:`plane_exponent_pair`) is first sought
+in closed form, then by the same sweep run on ints modulo a prime
+(:func:`_balanced_mod_p`): a rank can only drop under reduction, so a
+lower degree of floor(|mu|/2) there proves the balanced pair exactly.
+Only the planes this does not settle pay for the exact sweep.
+
 The Euler multiplicity of a restriction has one route and one store,
 :meth:`EulerPattern.values`, memoized in the pattern's own cache entry.
 For a rank-2 localization, mu*(Y) is the unique common nonzero exponent
@@ -30,7 +36,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .arrangement import Arrangement, MultiArrangement, hyperplane_flat, pivot_forms, rank_of, restriction
-from .scalars import Scalar, one, zero
+from .scalars import Scalar, one, residue_field, zero
 
 __all__ = [
     "EulerPattern",
@@ -299,6 +305,87 @@ def _order_basis(plane: Plane, order: int) -> tuple[Rank2Derivation, Rank2Deriva
     return low, high
 
 
+def _balanced_mod_p(plane: Plane, order: int) -> bool:
+    """Whether the sweep of :func:`_order_basis` over F_p proves the pair balanced.
+
+    The plane is reduced along Z[zeta] -> F_p (:func:`residue_field`),
+    and the same sweep runs on plain ints mod p, keeping degrees only.
+    It returns True when its lower degree is floor(|mu|/2), and that
+    proves the exact pair is {floor(|mu|/2), ceil(|mu|/2)}:
+
+    - the degree-d conditions of D(A, mu) are linear, with entries
+      integer polynomials in the slopes;
+    - their rank over F_p is at most their rank over Q(zeta), as every
+      minor reduces mod p.  The sweep over F_p is exact for the reduced
+      lines, so no derivation of degree d < floor(|mu|/2) exists over
+      F_p, and then none exists over Q(zeta) either: d1 >= floor(|mu|/2);
+    - d1 <= d2 and d1 + d2 = |mu| give d1 <= floor(|mu|/2).
+
+    It declines, returning False, when p divides a slope's denominator
+    or two slopes meet mod p (the reduced lines are then not the plane's
+    own), and when the F_p lower degree is smaller; the caller then runs
+    the exact sweep.  Only Python ints are used, no :class:`Scalar` ops.
+
+    >>> from .scalars import rational
+    >>> o = one(1)
+    >>> lines = ((o, rational(0)), (rational(0), o), (o, o), (o, rational(-1)))
+    >>> _balanced_mod_p(tuple((l, 2) for l in lines), 1)
+    True
+    >>> _balanced_mod_p(tuple((l, 3) for l in lines), 1)  # exactly (5, 7)
+    False
+    """
+    prime = residue_field(order).prime
+    shift = 0
+    slopes: dict[int, int] = {}  # slope residue -> multiplicity
+    for (a, b), mult in plane:
+        if not a:
+            shift = mult
+            continue
+        r = b.residue()
+        if r is None or r in slopes:
+            return False
+        slopes[r] = mult
+
+    def add_scaled(u: list[int], c: int, v: list[int]) -> list[int]:
+        if len(u) < len(v):
+            u = u + [0] * (len(v) - len(u))
+        return [(x + c * y) % prime for x, y in zip(u, v)] + u[len(v) :]
+
+    def times_linear(f: list[int], b: int) -> list[int]:
+        return add_scaled([0] + f, b, f)  # x*f + b*f
+
+    def taylor(g: list[int], b: int, count: int) -> list[int]:
+        out = []
+        for _ in range(count):
+            accs = []
+            acc = 0
+            for c in reversed(g):
+                acc = (c - b * acc) % prime
+                accs.append(acc)
+            out.append(accs.pop() if accs else 0)
+            g = accs[::-1]
+        return out
+
+    vecs = [([1], []), ([], [1])]
+    degrees = [0, shift]
+    for b, mult in slopes.items():
+        coeffs = [taylor(add_scaled(f1, b, f2), b, mult) for f1, f2 in vecs]
+        for j in range(mult):
+            live = [i for i in (0, 1) if coeffs[i][j]]
+            if not live:
+                continue
+            p = min(live, key=degrees.__getitem__)
+            q = 1 - p
+            if coeffs[q][j]:
+                c = -coeffs[q][j] * pow(coeffs[p][j], -1, prime) % prime
+                vecs[q] = (add_scaled(vecs[q][0], c, vecs[p][0]), add_scaled(vecs[q][1], c, vecs[p][1]))
+                coeffs[q] = add_scaled(coeffs[q], c, coeffs[p])
+            vecs[p] = (times_linear(vecs[p][0], b), times_linear(vecs[p][1], b))
+            coeffs[p] = [0] + coeffs[p][:-1]
+            degrees[p] += 1
+    return min(degrees) == sum(mult for _, mult in plane) // 2
+
+
 def _evaluate(coeffs: tuple[Scalar, ...], x0: int) -> Scalar:
     """A homogeneous polynomial, coefficients as in Rank2Derivation, at (x0, 1)."""
     acc = zero(coeffs[0].order)
@@ -368,11 +455,15 @@ def plane_exponent_pair(plane: Plane, order: int) -> tuple[int, int]:
       balanced case (any three distinct concurrent lines are linearly
       equivalent, so only the multiplicities matter).
 
-    Everything else goes to the order-basis solver (:func:`_order_basis`)
-    and returns its degrees; this route skips the Saito certificate that
-    :func:`plane_exponents` adds.  Tests cross-check every closed form and
-    the solver against the certified route and a kernel-scan oracle on
-    random systems.
+    Everything else is first reduced modulo a prime: when the same sweep
+    over F_p (:func:`_balanced_mod_p`) finds the lower degree
+    floor(|mu|/2), that proves the balanced pair.  Otherwise, or when the
+    reduction declines, the exact order-basis solver (:func:`_order_basis`)
+    runs and returns its degrees; it is the one route to an unbalanced
+    pair here.  Both skip the Saito certificate that
+    :func:`plane_exponents` adds.  Tests cross-check every closed form,
+    the F_p proof and the solver against the certified route and a
+    kernel-scan oracle on random systems.
 
     >>> from .scalars import one, rational
     >>> o = one(1)
@@ -397,7 +488,7 @@ def plane_exponent_pair(plane: Plane, order: int) -> tuple[int, int]:
     heavy = max(mults)
     if 2 * heavy >= total:
         return (total - heavy, heavy)
-    if k == 3:
+    if k == 3 or _balanced_mod_p(plane, order):
         return (total // 2, total - total // 2)
     low, high = _order_basis(plane, order)
     return (low.degree, high.degree)

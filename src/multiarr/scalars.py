@@ -19,6 +19,12 @@ integer ``num`` and ``den`` instead.
 
 For r = 1 the basis is just {1}, so scalars are plain rationals.
 
+Each field also has one fixed reduction to a prime field,
+:func:`residue_field`: zeta goes to an omega of exact order r modulo a
+prime p = 1 (mod r), and :meth:`Scalar.residue` is the image of a scalar
+whose denominator p does not divide.  The rank-2 solver proves balanced
+exponent pairs with it, on plain ints.
+
 >>> z = zeta(3)
 >>> print(z * z)
 -z - 1
@@ -35,17 +41,19 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 __all__ = [
     "MAX_ORDER",
+    "Residues",
     "Scalar",
     "ScalarParseError",
     "cyclotomic_polynomial",
     "one",
     "parse_scalar",
     "rational",
+    "residue_field",
     "zero",
     "zeta",
 ]
@@ -110,6 +118,69 @@ def _field(order: int) -> _Field:
         if top:
             power = [a - top * c for a, c in zip(power, low)]
     return _Field(order, degree, tuple(powers))
+
+
+class Residues(NamedTuple):
+    """The reduction Z[zeta_order] -> F_prime sending zeta to omega."""
+
+    prime: int
+    omega: int
+    # omega^j mod prime, for j = 0, ..., deg(Phi_order) - 1
+    powers: tuple[int, ...]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5, 7: exact for n < 3,215,031,751."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def residue_field(order: int) -> Residues:
+    """The map Z[zeta_order] -> F_p of :meth:`Scalar.residue`, fixed by the order alone.
+
+    p is the largest prime below 2^30 with p = 1 (mod order): residues
+    then stay single-digit ints.  F_p^* is cyclic of order p - 1, so it
+    holds an omega of exact order ``order``, the one of least base g in
+    g^((p-1)/order).  Such an omega is a root of Phi_order mod p, so
+    zeta -> omega is a ring map.
+
+    >>> residue_field(1)[:2]
+    (1073741789, 1)
+    >>> p, omega, _ = residue_field(4)
+    >>> p % 4, omega * omega % p == p - 1
+    (1, True)
+    """
+    p = (2**30 - 2) // order * order + 1
+    while not _is_prime(p):
+        p -= order
+    factors = {q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)}
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // order, p)
+        if all(pow(omega, order // q, p) != 1 for q in factors):
+            break
+    powers = [1]
+    for _ in range(_field(order).degree - 1):
+        powers.append(powers[-1] * omega % p)
+    return Residues(p, omega, tuple(powers))
 
 
 def _ratio(value: int | Fraction) -> tuple[int, int]:
@@ -252,6 +323,22 @@ class Scalar:
     def coeffs(self) -> tuple[Fraction, ...]:
         """``coeffs[j]`` is the coefficient of zeta^j, as a Fraction."""
         return tuple(Fraction(a, self._den) for a in self._num)
+
+    def residue(self) -> int | None:
+        """The image in F_p under zeta -> omega (:func:`residue_field`).
+
+        None when p divides the denominator, where the map is undefined.
+
+        >>> p, omega, _ = residue_field(3)
+        >>> (zeta(3) / 2).residue() * 2 % p == omega
+        True
+        >>> Scalar.of(Fraction(1, p), 3).residue() is None
+        True
+        """
+        prime, _, powers = residue_field(self._order)
+        if not self._den % prime:
+            return None
+        return sum(map(mul, self._num, powers)) * pow(self._den, -1, prime) % prime
 
     def _check(self, other: Scalar) -> None:
         if self._order != other._order:

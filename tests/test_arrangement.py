@@ -175,7 +175,7 @@ def test_lattice_extends_an_echelon_once_per_flat(monkeypatch, spec, extensions)
 
 
 def test_lattice_computes_no_kernels(monkeypatch) -> None:
-    # flats carry lattice data only; restrictions make their own bases
+    # flats carry lattice data only, and restrictions read their RREF
     arr = intermediate(parse_spec_string("A:3:4:0"))
     calls = []
     kernel = linalg.nullspace
@@ -206,18 +206,30 @@ def test_charpoly_has_root_one_and_ziegler_counts(g333, data) -> None:
         assert zm.mult[g] == len(res.groups[g])
 
 
-def test_restriction_traces_commute_with_the_forms(g333) -> None:
-    flat = next(f for f in intersection_lattice(g333, 2) if f.rank == 2)
-    res = restriction(g333, flat)
-    basis = linalg.nullspace(flat.equations, g333.dim, g333.zeta_order)
-    closed = set(flat.closed)
-    for i, h in enumerate(g333.hyperplanes):
-        if i in closed:
-            assert res.trace[i] is None
-            continue
-        image = linear_form([linalg.dot(h.coeffs, b) for b in basis])
-        assert res.arrangement.hyperplanes[res.trace[i]] == image
-        assert i in res.groups[res.trace[i]]
+def test_restriction_traces_commute_with_the_forms(g333, monkeypatch) -> None:
+    # every flat of rank < dim; the reference dots each form with the
+    # canonical kernel basis, computed before elimination is refused
+    cases = []
+    for arr in (g333, intermediate(parse_spec_string("A:3:4:0"))):
+        for flat in intersection_lattice(arr, arr.dim - 1):
+            cases.append((arr, flat, linalg.nullspace(flat.equations, arr.dim, arr.zeta_order)))
+
+    def refused(*_):
+        raise RuntimeError("restriction eliminated")
+
+    monkeypatch.setattr(linalg, "rref", refused)
+    monkeypatch.setattr(linalg, "nullspace", refused)
+    for arr, flat, basis in cases:
+        res = restriction(arr, flat)
+        assert res.arrangement.dim == len(basis) == arr.dim - flat.rank
+        closed = set(flat.closed)
+        for i, h in enumerate(arr.hyperplanes):
+            if i in closed:
+                assert res.trace[i] is None
+                continue
+            image = linear_form([linalg.dot(h.coeffs, b) for b in basis])
+            assert res.arrangement.hyperplanes[res.trace[i]] == image
+            assert i in res.groups[res.trace[i]]
 
 
 def test_localization_keeps_multiplicities(g333) -> None:

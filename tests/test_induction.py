@@ -572,18 +572,21 @@ def test_refuter_finds_the_known_chain() -> None:
 
 
 def test_refuter_solves_few_planes(monkeypatch) -> None:
-    # only planes past every closed form of plane_exponent_pair reach the solver
-    calls = []
-    solve = rank2._order_basis
+    # only planes past every closed form of plane_exponent_pair reach the
+    # F_p proof, and here every one of them is balanced: no exact sweep
+    calls, proofs = [], []
+    solve, prove = rank2._order_basis, rank2._balanced_mod_p
     monkeypatch.setattr(rank2, "_order_basis", lambda *args: calls.append(args) or solve(*args))
+    monkeypatch.setattr(rank2, "_balanced_mod_p", lambda *args: prove(*args) and not proofs.append(args))
     kappa = shipped_fixture("g33_a2_kappa")
-    for exps, verdict, solved in (((7, 9, 11), "chain_found", 11), ((8, 8, 11), "refuted", 4)):
+    for exps, verdict, proven in (((7, 9, 11), "chain_found", 11), ((8, 8, 11), "refuted", 4)):
         # the Euler values are memoized in the patterns, so both caches start cold
         euler_pattern.cache_clear()
         plane_exponent_pair.cache_clear()
         calls.clear()
+        proofs.clear()
         assert additive_refuter(kappa, exps).verdict == verdict
-        assert len(calls) == solved, exps
+        assert (len(proofs), len(calls)) == (proven, 0), exps
 
 
 def test_refuter_rejects_impossible_exponents_immediately() -> None:

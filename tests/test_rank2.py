@@ -38,7 +38,7 @@ from multiarr.rank2 import (
     rank2_exponents,
     verify_witness,
 )
-from multiarr.scalars import Scalar, cyclotomic_polynomial, one, rational, zero, zeta
+from multiarr.scalars import Scalar, cyclotomic_polynomial, one, rational, residue_field, zero, zeta
 
 
 def line(slope: Fraction | None, order: int = 1) -> tuple[Scalar, Scalar]:
@@ -104,9 +104,44 @@ def test_near_simple_pairs_skip_the_solver(monkeypatch) -> None:
     # the boundary |mu| = 2k - 1
     assert plane_exponent_pair(tuple(zip(lines[:4], (2, 2, 2, 1))), 1) == (3, 4)
     assert plane_exponent_pair(tuple(zip(lines, (2, 2, 2, 2, 1))), 1) == (4, 5)
-    # |mu| = 2k is past the closed form
+    # |mu| = 2k is past the closed form, and balanced: proven over F_p
+    assert plane_exponent_pair(tuple(zip(lines[:4], (2, 2, 2, 2))), 1) == (4, 4)
+    # unbalanced, (5, 7): only the exact sweep answers
     with pytest.raises(RuntimeError, match="solver reached"):
-        plane_exponent_pair(tuple(zip(lines[:4], (2, 2, 2, 2))), 1)
+        plane_exponent_pair(tuple(zip(lines[:4], (3, 3, 3, 3))), 1)
+
+
+def test_balanced_proofs_mod_p_agree_with_the_exact_sweep() -> None:
+    # special position: slopes among infinity, 0, +-1 and the powers of zeta,
+    # where reduction mod p is likeliest to lose rank
+    rng = random.Random(5)
+    outcomes = set()
+    for order in (1, 3, 4, 6):
+        slopes = {(zero(order), one(order))} | {(one(order), s) for s in (zero(order), one(order), -one(order))}
+        slopes |= {(one(order), zeta(order, k)) for k in range(order)}
+        for _ in range(40):
+            lines = rng.sample(sorted(slopes, key=str), min(len(slopes), rng.randint(4, 6)))
+            plane = canonical_plane((l, rng.randint(1, 5)) for l in lines)
+            balanced = rank2._balanced_mod_p(plane, order)
+            low, _ = _order_basis(plane, order)
+            if balanced:
+                assert low.degree == sum(m for _, m in plane) // 2, plane
+            outcomes.add(balanced)
+    assert outcomes == {True, False}
+
+
+def test_balanced_proof_declines_where_reduction_fails(monkeypatch) -> None:
+    p = residue_field(1).prime
+    lines = (line(None), line(Fraction(0)), line(Fraction(1)))
+    # p divides a denominator; the slopes 0 and p meet mod p
+    for extra in (Fraction(1, p), Fraction(p)):
+        plane = canonical_plane(zip(lines + (line(extra),), (2, 2, 2, 2)))
+        assert not rank2._balanced_mod_p(plane, 1)
+        calls = []
+        monkeypatch.setattr(rank2, "_order_basis", lambda *args: calls.append(args) or _order_basis(*args))
+        plane_exponent_pair.cache_clear()
+        assert plane_exponent_pair(plane, 1) == (4, 4)
+        assert len(calls) == 1
 
 
 def test_heavy_line_dominates() -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from multiarr.scalars import (
     one,
     parse_scalar,
     rational,
+    residue_field,
     zero,
     zeta,
 )
@@ -156,6 +157,30 @@ def test_power_and_int_mixing(data) -> None:
     assert 2 * a == a + a
     assert a - 1 == a - one(order)
     assert 1 - a == -(a - 1)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 4, 5, 6, 8, 12, 1000))
+def test_residue_field_sends_zeta_to_a_root_of_phi(order) -> None:
+    p, omega, powers = residue_field(order)
+    assert p < 2**31 and (p - 1) % order == 0
+    assert all(p % d for d in range(2, isqrt(p) + 1))  # prime, by trial division
+    phi_at_omega = 0
+    for c in reversed(cyclotomic_polynomial(order)):
+        phi_at_omega = (phi_at_omega * omega + c) % p
+    assert phi_at_omega == 0
+    assert powers == tuple(pow(omega, j, p) for j in range(len(cyclotomic_polynomial(order)) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(order_and_scalars(2))
+def test_residue_is_a_ring_map(case) -> None:
+    order, a, b = case
+    p = residue_field(order).prime
+    # the generated denominators are below 8, so p divides none of them
+    ra, rb = a.residue(), b.residue()
+    assert (a + b).residue() == (ra + rb) % p
+    assert (a * b).residue() == ra * rb % p
+    assert zeta(order).residue() == residue_field(order).omega % p
 
 
 def test_mixed_orders_rejected() -> None:
