@@ -448,12 +448,7 @@ def additive_refuter(
     b2 = local_b2(m)
     if b2 == e2(exps):
         return _deletion_walk(m, exps, b2, budget, progress)
-    engine = _Engine(Session(), budget, progress)
-    try:
-        engine.spend()
-    except BudgetExceeded:
-        return RefutationReport("unknown", engine.nodes, 0, 0, None, (), False, b2)
-    return RefutationReport("refuted", engine.nodes, 0, 0, None, (), False, b2)
+    return RefutationReport("refuted" if budget >= 1 else "unknown", 1, 0, 0, None, (), False, b2)
 
 
 def _deletion_walk(m: MultiArrangement, exps: tuple[int, ...], b2: int, budget: int = DEFAULT_BUDGET, progress=None) -> RefutationReport:

@@ -5,14 +5,16 @@ with d1 <= d2 and d1 + d2 = |mu| is computed exactly.  The module
 D(A, mu) of derivations theta = f1 d/dx + f2 d/dy with alpha^mu(H)
 dividing theta(alpha) for every line alpha = ker H has a basis of
 degrees d1 and d2.  One order-basis sweep over the divisibility
-conditions (Beckermann-Labahn) builds such a basis in O(|mu|^2) exact
-scalar operations.  Witnesses are certified by Saito's criterion: both
+conditions (Beckermann-Labahn), :func:`_sweep`, is written once and run
+over Q(zeta) for the solver and over F_p for the balance proof below.
+Over Q(zeta) it builds such a basis in O(|mu|^2) exact scalar
+operations.  Witnesses are certified by Saito's criterion: both
 generators pass an independent polynomial-division check, their degrees
 sum to |mu| and their determinant is nonzero.  ``verify_witness`` keeps
 a kernel scan over all lower degrees as an independent oracle.
 
 A pair with no witness (:func:`plane_exponent_pair`) is first sought
-in closed form, then by the same sweep run on ints modulo a prime
+in closed form, then by the sweep run on ints modulo a prime
 (:func:`_balanced_mod_p`): a rank can only drop under reduction, so a
 lower degree of floor(|mu|/2) there proves the balanced pair exactly.
 Only the planes this does not settle pay for the exact sweep.
@@ -31,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
 from . import linalg
@@ -218,45 +220,66 @@ def verify_witness(result: Rank2Result, order: int) -> bool:
     return all(not _kernel(result.plane, d, order) for d in range(pair[0]))
 
 
-def _add_scaled(u: list[Scalar], c: Scalar, v: list[Scalar]) -> list[Scalar]:
+class _Ring(NamedTuple):
+    """The arithmetic of one sweep: its constants, its inverse, the map that
+    keeps a result canonical, and the image of a slope (None if it has none)."""
+
+    zero: object
+    one: object
+    inverse: Callable
+    reduce: Callable
+    slope: Callable
+
+
+def _identity(x):
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def _exact(order: int) -> _Ring:
+    """Q(zeta_order) on :class:`Scalar`, where nothing needs reducing."""
+    return _Ring(zero(order), one(order), Scalar.inverse, _identity, _identity)
+
+
+@functools.lru_cache(maxsize=None)
+def _mod_p(order: int) -> _Ring:
+    """F_p on plain ints, slopes reduced by :meth:`Scalar.residue`."""
+    prime = residue_field(order).prime
+    return _Ring(0, 1, lambda x: pow(x, -1, prime), lambda x: x % prime, Scalar.residue)
+
+
+def _add_scaled(ring: _Ring, u: list, c, v: list) -> list:
     """Coefficients of u + c*v; the lists may differ in length."""
-    out = u + [zero(c.order)] * (len(v) - len(u))
-    for k, x in enumerate(v):
-        if x:
-            out[k] = out[k] + c * x
+    out = u + [ring.zero] * (len(v) - len(u))
+    if c:
+        reduce = ring.reduce
+        for k, x in enumerate(v):
+            if x:
+                out[k] = reduce(out[k] + c * x)
     return out
 
 
-def _times_linear(f: list[Scalar], b: Scalar) -> list[Scalar]:
-    """Coefficients of (x + b) * f, ascending in x."""
-    out = [zero(b.order)] + f
-    if b:
-        for k, c in enumerate(f):
-            if c:
-                out[k] = out[k] + b * c
-    return out
-
-
-def _taylor(g: list[Scalar], b: Scalar, count: int) -> list[Scalar]:
+def _taylor(ring: _Ring, g: list, b, count: int) -> list:
     """The first ``count`` Taylor coefficients of g(x) at x = -b.
 
     Each one is the remainder of a synthetic division by x + b, whose
     quotient yields the next.
     """
-    out: list[Scalar] = []
+    zero, reduce = ring.zero, ring.reduce
+    out = []
     for _ in range(count):
-        accs: list[Scalar] = []
-        acc = zero(b.order)
+        accs = []
+        acc = zero
         for c in reversed(g):
-            acc = c - b * acc if b and acc else c
+            acc = reduce(c - b * acc) if b and acc else c
             accs.append(acc)
-        out.append(accs.pop() if accs else zero(b.order))
+        out.append(accs.pop() if accs else zero)
         g = accs[::-1]
     return out
 
 
-def _order_basis(plane: Plane, order: int) -> tuple[Rank2Derivation, Rank2Derivation]:
-    """A basis of D(A, mu) of minimal degrees, by an M-Pade order-basis sweep.
+def _sweep(ring: _Ring, plane: Plane) -> tuple[list[int], list[tuple[list, list]]] | None:
+    """The shifted degrees and vectors of an M-Pade order basis over ``ring``.
 
     This is the Beckermann-Labahn order basis (SIAM J. Matrix Anal.
     Appl. 15, 1994) for two unknowns.  At y = 1 a derivation is a pair
@@ -268,31 +291,43 @@ def _order_basis(plane: Plane, order: int) -> tuple[Rank2Derivation, Rank2Deriva
     eliminating with the vector of lower shifted degree as the pivot and
     then multiplying the pivot by x + b.  That keeps the basis
     shifted-reduced, so its shifted degrees are the exponents, and it
-    costs O(|mu|^2) scalar operations.  Lines must be normalized as by
-    :func:`indexed_plane`.  Returns the homogenized generators,
-    lower degree first.
+    costs O(|mu|^2) ring operations.  Lines must be normalized as by
+    :func:`indexed_plane`.  None when a slope has no image in the ring
+    or two slopes meet there.
     """
     shift = next((mult for (a, _), mult in plane if not a), 0)
-    vecs = [([one(order)], []), ([], [one(order)])]  # (f1, f2), ascending in x
+    lines = [(ring.slope(b), mult) for (a, b), mult in plane if a]
+    slopes = dict(lines)  # slope in the ring -> multiplicity
+    if None in slopes or len(slopes) < len(lines):
+        return None
+    zero = ring.zero
+    vecs = [([ring.one], []), ([], [ring.one])]  # (f1, f2), ascending in x
     degrees = [0, shift]
-    for (a, b), mult in plane:
-        if not a:
-            continue
+    for b, mult in slopes.items():
         # kept in step with vecs: Taylor coefficients of f1 + b*f2 at -b
-        taylor = [_taylor(_add_scaled(f1, b, f2), b, mult) for f1, f2 in vecs]
+        taylor = [_taylor(ring, _add_scaled(ring, f1, b, f2), b, mult) for f1, f2 in vecs]
         for j in range(mult):
             live = [i for i in (0, 1) if taylor[i][j]]
             if not live:
                 continue
-            p = min(live, key=lambda i: degrees[i])
+            p = min(live, key=degrees.__getitem__)
             q = 1 - p
             if taylor[q][j]:
-                c = -(taylor[q][j] * taylor[p][j].inverse())
-                vecs[q] = (_add_scaled(vecs[q][0], c, vecs[p][0]), _add_scaled(vecs[q][1], c, vecs[p][1]))
-                taylor[q] = _add_scaled(taylor[q], c, taylor[p])
-            vecs[p] = (_times_linear(vecs[p][0], b), _times_linear(vecs[p][1], b))
-            taylor[p] = [zero(order)] + taylor[p][:-1]
+                c = ring.reduce(-(taylor[q][j] * ring.inverse(taylor[p][j])))
+                vecs[q] = tuple(_add_scaled(ring, u, c, v) for u, v in zip(vecs[q], vecs[p]))
+                taylor[q] = _add_scaled(ring, taylor[q], c, taylor[p])
+            vecs[p] = tuple(_add_scaled(ring, [zero] + f, b, f) for f in vecs[p])  # (x + b) * f
+            taylor[p] = [zero] + taylor[p][:-1]
             degrees[p] += 1
+    return degrees, vecs
+
+
+def _order_basis(plane: Plane, order: int) -> tuple[Rank2Derivation, Rank2Derivation]:
+    """A basis of D(A, mu) of minimal degrees: :func:`_sweep` over Q(zeta).
+
+    Returns the homogenized generators, lower degree first.
+    """
+    degrees, vecs = _sweep(_exact(order), plane)
 
     def homogenized(degree: int, f: list[Scalar]) -> tuple[Scalar, ...]:
         # the coefficient of x^(degree-j) y^j is that of x^(degree-j)
@@ -306,10 +341,10 @@ def _order_basis(plane: Plane, order: int) -> tuple[Rank2Derivation, Rank2Deriva
 
 
 def _balanced_mod_p(plane: Plane, order: int) -> bool:
-    """Whether the sweep of :func:`_order_basis` over F_p proves the pair balanced.
+    """Whether :func:`_sweep` over F_p proves the pair balanced.
 
     The plane is reduced along Z[zeta] -> F_p (:func:`residue_field`),
-    and the same sweep runs on plain ints mod p, keeping degrees only.
+    and the exact solver's own sweep runs on plain ints mod p.
     It returns True when its lower degree is floor(|mu|/2), and that
     proves the exact pair is {floor(|mu|/2), ceil(|mu|/2)}:
 
@@ -334,56 +369,8 @@ def _balanced_mod_p(plane: Plane, order: int) -> bool:
     >>> _balanced_mod_p(tuple((l, 3) for l in lines), 1)  # exactly (5, 7)
     False
     """
-    prime = residue_field(order).prime
-    shift = 0
-    slopes: dict[int, int] = {}  # slope residue -> multiplicity
-    for (a, b), mult in plane:
-        if not a:
-            shift = mult
-            continue
-        r = b.residue()
-        if r is None or r in slopes:
-            return False
-        slopes[r] = mult
-
-    def add_scaled(u: list[int], c: int, v: list[int]) -> list[int]:
-        if len(u) < len(v):
-            u = u + [0] * (len(v) - len(u))
-        return [(x + c * y) % prime for x, y in zip(u, v)] + u[len(v) :]
-
-    def times_linear(f: list[int], b: int) -> list[int]:
-        return add_scaled([0] + f, b, f)  # x*f + b*f
-
-    def taylor(g: list[int], b: int, count: int) -> list[int]:
-        out = []
-        for _ in range(count):
-            accs = []
-            acc = 0
-            for c in reversed(g):
-                acc = (c - b * acc) % prime
-                accs.append(acc)
-            out.append(accs.pop() if accs else 0)
-            g = accs[::-1]
-        return out
-
-    vecs = [([1], []), ([], [1])]
-    degrees = [0, shift]
-    for b, mult in slopes.items():
-        coeffs = [taylor(add_scaled(f1, b, f2), b, mult) for f1, f2 in vecs]
-        for j in range(mult):
-            live = [i for i in (0, 1) if coeffs[i][j]]
-            if not live:
-                continue
-            p = min(live, key=degrees.__getitem__)
-            q = 1 - p
-            if coeffs[q][j]:
-                c = -coeffs[q][j] * pow(coeffs[p][j], -1, prime) % prime
-                vecs[q] = (add_scaled(vecs[q][0], c, vecs[p][0]), add_scaled(vecs[q][1], c, vecs[p][1]))
-                coeffs[q] = add_scaled(coeffs[q], c, coeffs[p])
-            vecs[p] = (times_linear(vecs[p][0], b), times_linear(vecs[p][1], b))
-            coeffs[p] = [0] + coeffs[p][:-1]
-            degrees[p] += 1
-    return min(degrees) == sum(mult for _, mult in plane) // 2
+    swept = _sweep(_mod_p(order), plane)
+    return swept is not None and min(swept[0]) == sum(mult for _, mult in plane) // 2
 
 
 def _evaluate(coeffs: tuple[Scalar, ...], x0: int) -> Scalar:

@@ -3,7 +3,7 @@
 This is the same battery `multiarr verify-paper` runs; executing it
 through pytest keeps the CLI report and the test suite in lockstep.
 The full battery recomputes every certificate from scratch, so this
-module is the slowest in the suite: about 14 s of its 36 s on a 2-core
+module is the slowest in the suite: about 11 s of its 38 s on a 2-core
 Xeon.
 """
 

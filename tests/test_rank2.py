@@ -144,6 +144,40 @@ def test_balanced_proof_declines_where_reduction_fails(monkeypatch) -> None:
         assert len(calls) == 1
 
 
+def mod_p_bounds_the_exact_sweep(plane, order: int) -> bool | None:
+    """Check one plane, where reduction does not decline: the F_p sweep's lower
+    degree is at most the exact one, and the exact degrees sum to |mu|.
+    Returns whether the F_p run proves the pair balanced; None if it declines."""
+    swept = rank2._sweep(rank2._mod_p(order), plane)
+    if swept is None:
+        return None
+    low, high = _order_basis(plane, order)
+    total = sum(m for _, m in plane)
+    assert low.degree + high.degree == total, plane
+    assert min(swept[0]) <= low.degree, plane
+    return min(swept[0]) == total // 2
+
+
+def test_mod_p_lower_degree_bounds_the_exact_one_in_both_outcomes() -> None:
+    # the special-position family of the balanced-proof test, where rank is likeliest to drop mod p
+    rng = random.Random(5)
+    outcomes = set()
+    for order in (1, 3, 4, 6):
+        slopes = {(zero(order), one(order))} | {(one(order), s) for s in (zero(order), one(order), -one(order))}
+        slopes |= {(one(order), zeta(order, k)) for k in range(order)}
+        for _ in range(40):
+            lines = rng.sample(sorted(slopes, key=str), min(len(slopes), rng.randint(4, 6)))
+            outcomes.add(mod_p_bounds_the_exact_sweep(canonical_plane((l, rng.randint(1, 5)) for l in lines), order))
+    assert {True, False} <= outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 3, 4)).flatmap(lambda r: st.tuples(st.just(r), plane_systems(r, max_lines=7, max_mult=6))))
+def test_mod_p_lower_degree_bounds_the_exact_one_on_random_planes(case) -> None:
+    order, plane = case
+    mod_p_bounds_the_exact_sweep(plane, order)
+
+
 def test_heavy_line_dominates() -> None:
     plane = ((line(Fraction(0)), 7), (line(Fraction(1)), 2), (line(None), 3))
     assert plane_exponent_pair(plane, 1) == (5, 7)
