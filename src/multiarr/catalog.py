@@ -12,6 +12,9 @@ Fixture files are line-oriented: `dim <l>`, `zeta <r>` with r at most
 hyperplane; `#` starts a comment.  Coefficients are split at commas,
 which no scalar contains, and each is checked by ``parse_scalar`` alone.
 Hyperplanes keep file order and receive labels a1, a2, ... by position.
+
+``find_linear_isomorphism`` searches in coordinates on a basis of source
+forms and is complete: None means that no linear isomorphism exists.
 """
 
 from __future__ import annotations
@@ -321,121 +324,101 @@ def shipped_table(name: str) -> dict:
     return payload
 
 
-def _in_mult_classes(m: MultiArrangement) -> dict[int, list[int]]:
-    classes: dict[int, list[int]] = {}
-    for i, mu in enumerate(m.mult):
-        classes.setdefault(mu, []).append(i)
-    return classes
-
-
 def find_linear_isomorphism(src: MultiArrangement, dst: MultiArrangement):
     """A matrix T with {src_i . T} = {dst_j} up to scalars, or None.
 
-    T acts on coefficient rows; multiplicities must correspond.  The
-    search anchors a projective frame (dim independent forms plus one in
-    general position) in src and tries images in dst from matching
-    multiplicity classes.  Returns T as a tuple of row tuples.
+    T acts on coefficient rows; multiplicities must correspond.  None
+    means that no such T exists; a source of rank below its dim raises
+    ValueError (``arrangement.essentialize`` it first).
+
+    Any T sends the first dim independent source forms S to independent
+    dst forms D, scaled by some lambda, so the source form with
+    S-coordinates s goes to the dst form with D-coordinates s_a*lambda_a,
+    of the same support.  Every D from the matching multiplicity classes
+    with the source's supports is tried.  lambda is fixed by connectors:
+    forms, taken in order, whose support joins classes of coordinates.  A
+    connector's image has its support and agrees with lambda up to one
+    factor per joined class, which fixes those factors and merges the
+    classes; lambda is 1 between the final classes.  Last, every image is
+    looked up, with its multiplicity.
+
+    Completeness: T's D is tried.  T's image of a connector is the unique
+    dst form proportional to sum(s_a*lambda_a*D_a), a candidate, and
+    taking it keeps lambda equal to T's up to one factor per class.  No
+    form's support crosses two final classes, so that lambda sends every
+    form where T does.
     """
     arr_s, arr_d = src.arrangement, dst.arrangement
-    if (arr_s.dim, arr_s.zeta_order, arr_s.n, sorted(src.mult)) != (
+    d = arr_s.dim
+    rows_s = [f.coeffs for f in arr_s.hyperplanes]
+    base, echelon, pivots = [], (), ()
+    for i, row in enumerate(rows_s):
+        ext = linalg.extend_echelon(echelon, pivots, row) if len(base) < d else None
+        if ext is not None:
+            (echelon, pivots), base = ext, base + [i]
+    if len(base) < d:
+        raise ValueError(f"the source has rank {len(base)} < dim {d}; essentialize it first")
+    if (d, arr_s.zeta_order, arr_s.n, sorted(src.mult)) != (
         arr_d.dim,
         arr_d.zeta_order,
         arr_d.n,
         sorted(dst.mult),
     ):
         return None
-    d = arr_s.dim
-    order = arr_s.zeta_order
-    rows_s = [f.coeffs for f in arr_s.hyperplanes]
+    smat = [rows_s[i] for i in base]
+    coords = linalg.coordinates(smat, rows_s)
     rows_d = [f.coeffs for f in arr_d.hyperplanes]
+    shape = sorted((tuple(map(bool, c)), mu) for c, mu in zip(coords, src.mult))
+    # each connector: (coordinates, multiplicity, [(a class it joins, that class's coordinates in its support)])
+    connectors = []
+    cls = list(range(d))
+    for i, c in enumerate(coords):
+        joined = {cls[a] for a in range(d) if c[a]}
+        if len(joined) > 1:
+            groups = [([a for a in range(d) if cls[a] == k], [a for a in range(d) if cls[a] == k and c[a]]) for k in joined]
+            connectors.append((c, src.mult[i], groups))
+            cls = [min(joined) if k in joined else k for k in cls]
 
-    frame = _projective_frame(rows_s, d)
-    if frame is None:
-        return None
-    base, extra, coords = frame
-    dst_classes = _in_mult_classes(dst)
-    target = {arr_d.hyperplanes[i]: dst.mult[i] for i in range(arr_d.n)}
+    def fits(k: int, lam: list[Scalar], dco: list):
+        """Every lambda that the connectors from the k-th on allow."""
+        if k == len(connectors):
+            yield lam
+            return
+        c, mu_c, groups = connectors[k]
+        for e, mu in zip(dco, dst.mult):
+            if mu != mu_c or any(bool(x) != bool(y) for x, y in zip(c, e)):
+                continue
+            new = list(lam)
+            for members, support in groups:
+                f = e[support[0]] / (c[support[0]] * lam[support[0]])
+                if any(e[a] != f * c[a] * lam[a] for a in support[1:]):
+                    break
+                for a in members:
+                    new[a] = lam[a] * f
+            else:
+                yield from fits(k + 1, new, dco)
 
-    def candidates(slot: int) -> list[int]:
-        mu = src.mult[extra] if slot == d else src.mult[base[slot]]
-        return dst_classes.get(mu, [])
-
-    chosen: list[int] = []
-
-    def place(slot: int) -> tuple | None:
-        if slot == d:
-            for w in candidates(d):
-                if w in chosen:
-                    continue
-                t = _solve_frame(rows_s, rows_d, base, extra, coords, chosen, w, d, order)
-                if t is not None and _maps_onto(src, target, t):
-                    return t
+    def place(chosen: list[int], echelon: tuple, pivots: tuple) -> tuple | None:
+        if len(chosen) == d:
+            dco = linalg.coordinates([rows_d[j] for j in chosen], rows_d)
+            if sorted((tuple(map(bool, e)), mu) for e, mu in zip(dco, dst.mult)) != shape:
+                return None
+            index = {linear_form(e): mu for e, mu in zip(dco, dst.mult)}
+            for lam in fits(0, [one(arr_s.zeta_order)] * d, dco):
+                images = (linear_form([x * y for x, y in zip(c, lam)]) for c in coords)
+                if all(index.get(im) == mu for im, mu in zip(images, src.mult)):
+                    # T = S^-1 . diag(lambda) . D, the right half of rref([S | diag(lambda) . D])
+                    scaled = [[x * y for y in rows_d[j]] for x, j in zip(lam, chosen)]
+                    red, _ = linalg.rref([list(s) + row for s, row in zip(smat, scaled)], 2 * d)
+                    return tuple(tuple(row[d:]) for row in red)
             return None
-        for c in candidates(slot):
-            if c in chosen:
+        for j, mu in enumerate(dst.mult):
+            if mu != src.mult[base[len(chosen)]]:
                 continue
-            picked = [rows_d[i] for i in chosen] + [rows_d[c]]
-            if linalg.rank(picked, d) != slot + 1:
-                continue
-            chosen.append(c)
-            t = place(slot + 1)
-            if t is not None:
-                return t
-            chosen.pop()
+            ext = linalg.extend_echelon(echelon, pivots, rows_d[j])
+            found = None if ext is None else place(chosen + [j], *ext)
+            if found is not None:
+                return found
         return None
 
-    return place(0)
-
-
-def _projective_frame(rows: list[tuple[Scalar, ...]], d: int):
-    """Indices of d independent rows plus one with all-nonzero coordinates."""
-    base: list[int] = []
-    echelon: list = []
-    pivots: list[int] = []
-    for i, row in enumerate(rows):
-        ext = linalg.extend_echelon(echelon, pivots, list(row))
-        if ext is not None:
-            echelon, pivots = ext
-            base.append(i)
-            if len(base) == d:
-                break
-    if len(base) < d:
-        return None
-    mat = [list(rows[i]) for i in base]
-    for i, row in enumerate(rows):
-        if i in base:
-            continue
-        coords = linalg.solve_rows(mat, list(row), d)
-        if coords is not None and all(coords):
-            return base, i, coords
-    return None
-
-
-def _solve_frame(rows_s, rows_d, base, extra, coords, chosen, w, d, order):
-    """T = S^-1 . diag(lambda) . D from frame images; None if degenerate."""
-    dmat = [list(rows_d[i]) for i in chosen]
-    e = linalg.solve_rows(dmat, list(rows_d[w]), d)
-    if e is None or not all(e):
-        return None
-    lam = [e[a] * coords[a].inverse() for a in range(d)]
-    smat = [list(rows_s[i]) for i in base]
-    inv = linalg.invert(smat, d, order)
-    if inv is None:
-        return None
-    scaled = [[lam[a] * dmat[a][j] for j in range(d)] for a in range(d)]
-    cols = list(zip(*scaled))
-    return tuple(tuple(linalg.dot(inv[i], col) for col in cols) for i in range(d))
-
-
-def _maps_onto(src: MultiArrangement, target: dict, t: tuple) -> bool:
-    cols = list(zip(*t))
-    seen: dict = {}
-    for form, mu in zip(src.arrangement.hyperplanes, src.mult):
-        image_coeffs = [linalg.dot(form.coeffs, col) for col in cols]
-        if not any(image_coeffs):
-            return False
-        image = linear_form(image_coeffs)
-        if target.get(image) != mu or image in seen:
-            return False
-        seen[image] = mu
-    return len(seen) == len(target)
+    return place([], (), ())

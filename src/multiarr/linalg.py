@@ -4,7 +4,8 @@ Everything here works on small dense matrices whose entries are
 :class:`~multiarr.scalars.Scalar`; rows are lists/tuples of scalars.
 The reduced row echelon form is canonical for the row space, which the
 callers rely on for deduplicating subspaces and for deterministic
-nullspace bases.
+nullspace bases; ``coordinates`` reads rows in an invertible basis off
+one RREF.
 """
 
 from __future__ import annotations
@@ -126,36 +127,13 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int, order: int) -> list[
     return basis
 
 
-def dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
-    acc = None
-    for x, y in zip(a, b):
-        term = x * y
-        acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc
+def coordinates(basis: Sequence[Sequence[Scalar]], rows: Sequence[Sequence[Scalar]]) -> list[Row]:
+    """Coefficients x with sum(x_a * basis_a) = row, for each row.
 
-
-def solve_rows(mat: Sequence[Sequence[Scalar]], row: Sequence[Scalar], ncols: int) -> list[Scalar] | None:
-    """Coefficients c with sum(c_i * mat_i) = row, or None if inconsistent.
-
-    Free coefficients (when the rows of ``mat`` are dependent) are set
-    to zero.  Solved column-wise, one equation per coordinate.
+    ``basis`` must be square and invertible.  One RREF of the transposed
+    system [basis^T | rows^T] leaves the identity on the left and the
+    coordinates, one column per row, on the right.
     """
-    k = len(mat)
-    aug = [[mat[i][j] for i in range(k)] + [row[j]] for j in range(ncols)]
-    red, pivots = rref(aug, k + 1)
-    if k in pivots:
-        return None
-    coeffs = [zero(row[0].order)] * k
-    for i, p in enumerate(pivots):
-        coeffs[p] = red[i][k]
-    return coeffs
-
-
-def invert(mat: Sequence[Sequence[Scalar]], n: int, order: int) -> list[list[Scalar]] | None:
-    """Inverse of an n x n matrix by Gauss-Jordan, or None if singular."""
-    work = [list(r) + [one(order) if j == i else zero(order) for j in range(n)] for i, r in enumerate(mat)]
-    red, pivots = rref(work, 2 * n)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [r[n:] for r in red[:n]]
+    d = len(basis)
+    red, _ = rref([[b[j] for b in basis] + [r[j] for r in rows] for j in range(d)], d + len(rows))
+    return [tuple(red[a][d + i] for a in range(d)) for i in range(len(rows))]

@@ -227,7 +227,7 @@ def test_restriction_traces_commute_with_the_forms(g333, monkeypatch) -> None:
             if i in closed:
                 assert res.trace[i] is None
                 continue
-            image = linear_form([linalg.dot(h.coeffs, b) for b in basis])
+            image = linear_form([sum((x * y for x, y in zip(h.coeffs, b)), zero(arr.zeta_order)) for b in basis])
             assert res.arrangement.hyperplanes[res.trace[i]] == image
             assert i in res.groups[res.trace[i]]
 

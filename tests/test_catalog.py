@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiarr import linalg
 from multiarr.arrangement import (
     arrangement,
     characteristic_polynomial,
     hyperplane_flat,
+    intersection_lattice,
+    linear_form,
+    localize_multi,
     multi,
     restriction,
     simple_multi,
@@ -32,7 +34,7 @@ from multiarr.catalog import (
     shipped_table,
     shipped_table_names,
 )
-from multiarr.scalars import rational
+from multiarr.scalars import rational, zero
 
 ALL_SPECS = [
     IntermediateSpec(r, ell, k) for r in (2, 3, 4) for ell in (2, 3, 4) for k in range(ell + 1)
@@ -89,12 +91,15 @@ def test_restriction_type_matches_the_restriction(text: str) -> None:
 
 
 def test_restriction_type_up_to_linear_isomorphism() -> None:
-    spec = parse_spec_string("A:2:4:0")
-    arr = intermediate(spec)
-    for h in (0, 5):
-        predicted = intermediate(restriction_type(spec, h))
-        actual = restriction(arr, hyperplane_flat(arr, h)).arrangement
-        assert find_linear_isomorphism(simple_multi(actual), simple_multi(predicted)) is not None
+    # 47 pairs; in 17 restrictions no form has all coordinates nonzero in
+    # the first basis of forms, so no projective frame exists there
+    for text in ("A:2:4:0", "A:2:4:4", "A:3:4:1"):
+        spec = parse_spec_string(text)
+        arr = intermediate(spec)
+        for h in range(arr.n):
+            actual = simple_multi(restriction(arr, hyperplane_flat(arr, h)).arrangement)
+            predicted = simple_multi(intermediate(restriction_type(spec, h)))
+            assert_maps(actual, predicted, find_linear_isomorphism(actual, predicted))
 
 
 def test_restriction_type_lookup() -> None:
@@ -251,12 +256,26 @@ def test_shipped_tables() -> None:
         shipped_table("nope")
 
 
+def times(row, t):
+    """The row vector ``row`` times the matrix ``t``."""
+    return [sum((x * t_row[j] for x, t_row in zip(row, t)), zero(row[0].order)) for j in range(len(t[0]))]
+
+
+def assert_maps(src, dst, t) -> None:
+    """T sends the source forms onto the target forms, multiplicities included."""
+    assert t is not None
+    target = dict(zip(dst.arrangement.hyperplanes, dst.mult))
+    images = {}
+    for f, mu in zip(src.arrangement.hyperplanes, src.mult):
+        image = linear_form(times(f.coeffs, t))
+        assert target.get(image) == mu
+        images[image] = mu
+    assert images == target
+
+
 def transformed_copy(m, t_rows):
     t = [[rational(c, m.arrangement.zeta_order) for c in row] for row in t_rows]
-    cols = list(zip(*t))
-    forms = [
-        [linalg.dot(f.coeffs, col) for col in cols] for f in m.arrangement.hyperplanes
-    ]
+    forms = [times(f.coeffs, t) for f in m.arrangement.hyperplanes]
     arr = arrangement(m.arrangement.dim, m.arrangement.zeta_order, forms)
     return multi(arr, list(m.mult))
 
@@ -267,10 +286,9 @@ def test_fingerprint_and_isomorphism_under_a_linear_map() -> None:
     t = find_linear_isomorphism(src, dst)
     assert t is not None
     # the returned matrix really maps the source forms onto the target set
-    cols = list(zip(*t))
     target = set(dst.arrangement.hyperplanes)
     for f in src.arrangement.hyperplanes:
-        image = [linalg.dot(f.coeffs, col) for col in cols]
+        image = times(f.coeffs, t)
         lead = next(c for c in image if c)
         assert tuple(c * lead.inverse() for c in image) in {h.coeffs for h in target}
 
@@ -290,3 +308,52 @@ def test_isomorphism_rejects_different_sizes() -> None:
     a = simple_multi(intermediate(parse_spec_string("A:3:3:0")))
     b = simple_multi(intermediate(parse_spec_string("A:3:3:1")))
     assert find_linear_isomorphism(a, b) is None
+
+
+def test_window_specs_are_self_isomorphic() -> None:
+    # in 16 of the 36, among them B4 (A:2:4:4), G(3,1,3) and G(4,1,4), no
+    # form has all coordinates nonzero in the first basis of forms
+    for spec in ALL_SPECS:
+        m = simple_multi(intermediate(spec))
+        assert_maps(m, m, find_linear_isomorphism(m, m))
+
+
+def test_isomorphism_refuses_a_non_essential_source() -> None:
+    arr = intermediate(parse_spec_string("A:3:3:0"))
+    flat = next(f for f in intersection_lattice(arr, 2) if f.rank == 2)
+    loc = localize_multi(simple_multi(arr), flat)
+    with pytest.raises(ValueError, match="essentialize"):
+        find_linear_isomorphism(loc, loc)
+
+
+def det3(t) -> int:
+    return sum(
+        sign * t[0][p[0]] * t[1][p[1]] * t[2][p[2]]
+        for p, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(["A:2:3:0", "A:2:3:3", "A:3:3:0", "A:3:3:2", "A:4:3:0"]),
+    st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=3, max_size=3).filter(det3),
+    st.lists(st.integers(1, 3), min_size=12, max_size=12),
+    st.randoms(use_true_random=False),
+)
+def test_isomorphism_found_under_a_random_linear_map(text, t_rows, mults, rng) -> None:
+    # at most 12 forms in dim 3: an exhaustive "no" tries every candidate D
+    arr = intermediate(parse_spec_string(text))
+    src = multi(arr, mults[: arr.n])
+    order = list(range(arr.n))
+    rng.shuffle(order)
+    shuffled = multi(arrangement(3, arr.zeta_order, [arr.hyperplanes[i] for i in order]), [src.mult[i] for i in order])
+    dst = transformed_copy(shuffled, t_rows)
+    assert_maps(src, dst, find_linear_isomorphism(src, dst))
+    # 11 > 3 + 7, so (3, 7, 11) vanishes at no nonzero point whose
+    # coordinates are 0 or roots of unity: it lies on no multiple point,
+    # and every form of the family lies on one, so the lattices differ
+    forms = list(shuffled.arrangement.hyperplanes)
+    forms[rng.randrange(arr.n)] = linear_form([rational(c, arr.zeta_order) for c in (3, 7, 11)])
+    perturbed = transformed_copy(multi(arrangement(3, arr.zeta_order, forms), list(shuffled.mult)), t_rows)
+    assert find_linear_isomorphism(src, perturbed) is None
+    assert find_linear_isomorphism(perturbed, src) is None

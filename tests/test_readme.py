@@ -5,7 +5,8 @@ A dotted name in backticks, such as ``rank2.low_rank_exponents`` or
 that is a ``multiarr`` module is imported, a bare class name is looked up
 across the ``multiarr`` modules, and anything else (``typing.NamedTuple``)
 is imported as a module.  A renamed or deleted name then fails here
-instead of drifting in the prose.
+instead of drifting in the prose.  Each fenced ``python`` block is also
+run, so the library examples keep working.
 """
 
 from __future__ import annotations
@@ -62,3 +63,10 @@ def test_a_stale_reference_does_not_resolve() -> None:
     assert not _resolves("induction._state_key")
     assert not _resolves("nosuchmodule.name")
     assert _resolves("typing.NamedTuple") and _resolves("multiarr.arrangement.state_key")
+
+
+def test_the_readme_python_blocks_run() -> None:
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
