@@ -10,7 +10,8 @@ Conventions used throughout the package:
   (labels like ``a5`` refer to positions) but all mathematical results
   are independent of it;
 - a :class:`MultiArrangement` pairs an arrangement with multiplicities
-  >= 0; :func:`multi` drops the zeros, Euler restrictions keep them;
+  >= 0; a sub-multiarrangement is a state of its parent, zeros kept, and
+  :func:`multi` drops them only where a standalone arrangement is the output;
 - :func:`state_key`, built on :func:`form_keys`, is the one content key:
   it ignores hyperplane order and zero multiplicities;
 - a :class:`Flat` is an intersection of hyperplanes, recorded by its
@@ -59,10 +60,6 @@ class LinearForm(NamedTuple):
     """A normalized linear form; the hyperplane is its kernel."""
 
     coeffs: tuple[Scalar, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -133,7 +130,7 @@ def arrangement(
 ) -> Arrangement:
     normalized = tuple(f if isinstance(f, LinearForm) else linear_form(f) for f in forms)
     for f in normalized:
-        if f.dim != dim:
+        if len(f.coeffs) != dim:
             raise ValueError(f"form {f} does not have {dim} coefficients")
         for c in f.coeffs:
             if c.order != zeta_order:
@@ -348,9 +345,10 @@ def simple_multi(arr: Arrangement) -> MultiArrangement:
 
 
 def localize_multi(m: MultiArrangement, flat: Flat) -> MultiArrangement:
-    """(A_X, mu_X): hyperplanes through the flat keep their multiplicity."""
+    """(A_X, mu_X), a state of m's arrangement: hyperplanes through the flat
+    keep their multiplicity, the others get 0."""
     closed = set(flat.closed)
-    return multi(m.arrangement, [mu if i in closed else 0 for i, mu in enumerate(m.mult)])
+    return MultiArrangement(m.arrangement, tuple(mu if i in closed else 0 for i, mu in enumerate(m.mult)))
 
 
 def pivot_forms(rows: Sequence[Sequence[Scalar]], dim: int) -> tuple[int, tuple[LinearForm, ...]]:
@@ -369,10 +367,11 @@ def pivot_forms(rows: Sequence[Sequence[Scalar]], dim: int) -> tuple[int, tuple[
 def essentialize(m: MultiArrangement) -> MultiArrangement:
     """Rewrite in coordinates on the span of the forms; dim becomes rank.
 
-    Localizations of higher-rank arrangements are non-essential; the
-    forms are rewritten by :func:`pivot_forms`, so multiplicities and
-    labels carry over unchanged.
+    A state's zeros are dropped first (:func:`multi`); the forms are
+    rewritten by :func:`pivot_forms`, so multiplicities and labels carry
+    over unchanged.
     """
+    m = multi(*m)
     arr = m.arrangement
     rank, forms = pivot_forms([f.coeffs for f in arr.hyperplanes], arr.dim)
     if rank == arr.dim:

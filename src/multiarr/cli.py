@@ -242,10 +242,10 @@ def _cmd_charpoly(args) -> int:
     return _emit(args, "ok", payload, human)
 
 
-def _restriction_command(args, kind: str) -> int:
+def _cmd_restriction(args) -> int:
     m, name = _load_input(args)
     h0 = _resolve_hyperplane(m.arrangement, args.h0)
-    if kind == "ziegler":
+    if args.command == "ziegler":
         result = ziegler_multiplicity(m.arrangement, h0)
         what = "Ziegler restriction (underlying arrangement)"
     else:
@@ -261,14 +261,6 @@ def _restriction_command(args, kind: str) -> int:
         "total": result.total,
     }
     return _emit(args, "ok", payload, text)
-
-
-def _cmd_ziegler(args) -> int:
-    return _restriction_command(args, "ziegler")
-
-
-def _cmd_euler(args) -> int:
-    return _restriction_command(args, "euler")
 
 
 def _require_simple(m: MultiArrangement, why: str) -> None:
@@ -471,10 +463,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_charpoly)
 
     p = add("ziegler", "Ziegler restriction (A'', kappa) at a hyperplane, as a fixture", h0=True)
-    p.set_defaults(fn=_cmd_ziegler)
+    p.set_defaults(fn=_cmd_restriction)
 
     p = add("euler", "Euler restriction (A'', mu*) at a hyperplane, as a fixture", h0=True)
-    p.set_defaults(fn=_cmd_euler)
+    p.set_defaults(fn=_cmd_restriction)
 
     p = add("indfree", "decide inductive freeness; prints the addition table on yes", search=True, ziegler=True)
     p.set_defaults(fn=_cmd_indfree)

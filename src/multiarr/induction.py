@@ -378,7 +378,7 @@ def hereditarily_inductively_free(
     if result.verdict != "yes":
         return HereditaryReport(result.verdict, None, checked)
     top_rank = rank_of(arr)
-    for flat in intersection_lattice(arr, top_rank - 1):
+    for flat in intersection_lattice(arr, max(top_rank - 1, 0)):
         if flat.rank == 0:
             continue
         res = restriction(arr, flat).arrangement
@@ -547,7 +547,7 @@ def replay_addition_rows(
     Starts from the target multiplicity minus all row additions, checks
     the start exponents against the base, applies each row's addition,
     recomputes the Euler restriction of the target's own arrangement at
-    the row's hyperplane (``euler_multiplicity``, zeros dropped), and
+    the row's hyperplane (``euler_multiplicity``, a state with zeros), and
     checks both printed columns.  The base and every restriction of rank
     <= 2 get their exponents from ``rank2_exponents``; one of higher rank
     must be decided "yes" by a search on ``session`` whose chain is then
@@ -568,7 +568,7 @@ def replay_addition_rows(
         raise ValueError("rows add more than the target multiplicity")
     current = tuple(sorted(start_exponents))
     try:
-        base_exps = _replayed_exponents(multi(arr, state), session, budget)
+        base_exps = _replayed_exponents(MultiArrangement(arr, tuple(state)), session, budget)
     except ValueError as exc:
         raise ValueError(f"base: {exc}") from None
     if base_exps != current:
@@ -578,8 +578,7 @@ def replay_addition_rows(
             raise ValueError(f"row {i}: expected exponents {current}, table says {tuple(sorted(before))}")
         h0 = arr.index_of_label(label)
         state[h0] += 1
-        res = euler_multiplicity(MultiArrangement(arr, tuple(state)), h0)
-        computed = _replayed_exponents(multi(res.arrangement, res.mult), session, budget)
+        computed = _replayed_exponents(euler_multiplicity(MultiArrangement(arr, tuple(state)), h0), session, budget)
         if tuple(sorted(restricted)) != computed:
             raise ValueError(f"row {i}: restriction exponents {computed}, table says {tuple(sorted(restricted))}")
         after = check_addition_step(current, computed)
@@ -590,18 +589,18 @@ def replay_addition_rows(
 
 
 def _replayed_exponents(m: MultiArrangement, session: Session, budget: int) -> tuple[int, ...]:
-    """exp(m), padded to its dimension, recomputed by a replay.
+    """exp(m), padded to its dimension, recomputed by a replay; m may hold zeros.
 
-    Rank <= 2 is solved directly.  Higher rank must be inductively free:
-    the replay's session decides it and its chain is replayed row by row.
+    Support rank <= 2 takes :func:`rank2_exponents`.  Higher rank must be
+    inductively free: the replay's session decides it and its chain is replayed.
     """
-    if rank_of(m.arrangement) <= 2:
-        return padded(rank2_exponents(m).exponents, m.arrangement.dim)
+    if (low := rank2_exponents(m)) is not None:
+        return padded(low.exponents, m.arrangement.dim)
     report = is_inductively_free(m, budget, session=session)
     if report.verdict == "unknown":
         raise BudgetExceeded
     if report.verdict != "yes":
-        raise ValueError(f"a rank-{rank_of(m.arrangement)} restriction is not inductively free ({report.verdict})")
+        raise ValueError(f"a rank-{rank_of(multi(*m).arrangement)} restriction is not inductively free ({report.verdict})")
     return replay_addition_rows(m, report.base_exponents, report.steps, session=session, budget=budget)
 
 

@@ -37,7 +37,7 @@ from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
 from . import linalg
-from .arrangement import Arrangement, MultiArrangement, hyperplane_flat, pivot_forms, rank_of, restriction
+from .arrangement import Arrangement, MultiArrangement, hyperplane_flat, pivot_forms, restriction
 from .scalars import Scalar, one, residue_field, zero
 
 __all__ = [
@@ -78,7 +78,7 @@ class Rank2Derivation(NamedTuple):
 class Rank2Result(NamedTuple):
     """Sorted exponent pair, witness, and the plane system it refers to.
 
-    ``witness`` is None for inputs of rank < 2, where the exponents are
+    ``witness`` is None for supports of rank < 2, where the exponents are
     {0, |mu|} and there is nothing to certify.
     """
 
@@ -105,10 +105,10 @@ def indexed_plane(arr: Arrangement, indices: tuple[int, ...]) -> Plane:
     so the one order found serves every multiplicity vector.  Planes
     are made only here, and its cache is the one store of them.
     ``indices`` is always the closed set of a rank-2 flat: one of the
-    :attr:`EulerPattern.flats`, which Euler values and the exponents of
-    rank-2 search states read, or a whole rank-2 arrangement.  The lines
-    are the forms in coordinates on their span (:func:`pivot_forms`),
-    normalized as (1, b) for x + b*y or as (0, 1) for y.
+    :attr:`EulerPattern.flats`, which Euler values read and which
+    :func:`_support_flat` gives every rank-2 state, or all of a 2-dim
+    arrangement.  The lines are the forms in coordinates on their
+    span (:func:`pivot_forms`), normalized as (1, b) for x + b*y or as (0, 1) for y.
     """
     rank, forms = pivot_forms([arr.hyperplanes[p].coeffs for p in indices], arr.dim)
     if rank != 2:
@@ -481,19 +481,21 @@ def plane_exponent_pair(plane: Plane, order: int) -> tuple[int, int]:
     return (low.degree, high.degree)
 
 
-def rank2_exponents(m: MultiArrangement) -> Rank2Result:
-    """Exponent pair {d1, d2}, d1 <= d2, of a multiarrangement of rank <= 2.
+def rank2_exponents(m: MultiArrangement) -> Rank2Result | None:
+    """Exponent pair {d1, d2}, d1 <= d2, of a state of support rank <= 2; None for rank >= 3.
 
-    Rank 0 gives {0, 0}; a single hyperplane of multiplicity k gives
-    {0, k}; genuine rank-2 inputs also return a verified minimal-degree
-    witness over canonical plane coordinates.
+    Zeros are allowed.  A support of fewer than two hyperplanes gives
+    {0, |mu|} and no witness; a rank-2 support gets a verified
+    minimal-degree witness on the plane of its flat (:func:`_support_flat`),
+    zero lines dropped, which is the plane of the support's own copy.
     """
-    arr = m.arrangement
-    if arr.n == 0:
-        return Rank2Result((0, 0), None, ())
-    if rank_of(arr) == 1:
+    arr, mult = m
+    if sum(1 for mu in mult if mu) < 2:
         return Rank2Result((0, m.total), None, ())
-    canonical = tuple((line, m.mult[i]) for line, i in indexed_plane(arr, tuple(range(arr.n))))
+    flat = _support_flat(arr, mult)
+    if flat is None:
+        return None
+    canonical = tuple((line, mult[i]) for line, i in indexed_plane(arr, flat) if mult[i])
     pair, witness = plane_exponents(canonical, arr.zeta_order)
     return Rank2Result(pair, witness, canonical)
 
@@ -627,26 +629,27 @@ def local_b2(m: MultiArrangement) -> int:
     return sum(d1 * d2 for d1, d2 in (_flat_pair(arr, flat, mult) for flat in flats))
 
 
-def low_rank_exponents(arr: Arrangement, mult: Sequence[int]) -> tuple[int, ...] | None:
-    """Exponents of (arr, mult) of rank <= 2, padded to arr.dim; None for rank >= 3.
-
-    Zeros are allowed.  A support of two or more hyperplanes has rank 2
-    exactly when it lies in the rank-2 flat through its first two, whose
-    pair (:func:`_flat_pair`) is then the support's own: plane
-    coordinates depend only on the row space, which is the flat's.  In
-    dimension <= 2 that flat is all of the arrangement.
-    """
-    support = [i for i, m in enumerate(mult) if m]
-    if len(support) < 2:
-        return padded((sum(mult),), arr.dim)
+def _support_flat(arr: Arrangement, mult: Sequence[int]) -> tuple[int, ...] | None:
+    """Closed set of the rank-2 flat through the first two hyperplanes of the
+    support of ``mult`` (two or more), or None when the support leaves it; in
+    dimension <= 2, all of ``arr``.  Plane coordinates depend only on the row
+    space, so a support inside the flat has the flat's plane."""
     if arr.dim <= 2:
-        flat = tuple(range(arr.n))
-    else:
-        pat = euler_pattern(arr, support[0])
-        flat = pat.flats[pat.trace[support[1]]]
-        if sum(mult[p] for p in flat) != sum(mult):
-            return None
-    return padded(_flat_pair(arr, flat, mult), arr.dim)
+        return tuple(range(arr.n))
+    support = (i for i, m in enumerate(mult) if m)
+    pat = euler_pattern(arr, next(support))
+    flat = pat.flats[pat.trace[next(support)]]
+    return flat if sum(mult[p] for p in flat) == sum(mult) else None
+
+
+def low_rank_exponents(arr: Arrangement, mult: Sequence[int]) -> tuple[int, ...] | None:
+    """Exponents of the state (arr, mult), zeros allowed, padded to arr.dim;
+    None when its support has rank >= 3.  Read on its :func:`_support_flat`,
+    the one lookup :func:`rank2_exponents` shares."""
+    if sum(1 for m in mult if m) < 2:
+        return padded((sum(mult),), arr.dim)
+    flat = _support_flat(arr, mult)
+    return None if flat is None else padded(_flat_pair(arr, flat, mult), arr.dim)
 
 
 def euler_multiplicity(m: MultiArrangement, h0: int) -> MultiArrangement:

@@ -254,10 +254,10 @@ def _check_negative_instances() -> tuple[bool, str]:
     obs = localization_obstruction(zm)
     if obs.verdict != "obstructed" or obs.flat is None or obs.flat.rank != 3:
         return False, f"{spec_text} Ziegler restriction: obstruction scan returned {obs.verdict}"
-    loc = localize_multi(zm, obs.flat)
+    loc = essentialize(localize_multi(zm, obs.flat))
     if set(loc.mult) != {1}:
         return False, f"obstructing localization is not simple: {loc.mult}"
-    iso = find_linear_isomorphism(essentialize(loc), simple)
+    iso = find_linear_isomorphism(loc, simple)
     if iso is None:
         return False, f"obstructing localization is not linearly isomorphic to {NEGATIVE_SIMPLE}"
     return True, (
@@ -310,7 +310,7 @@ def _check_euler_consistency() -> tuple[bool, str]:
                 continue
             seen.add(plane)
             localizations += 1
-            where = f"flat {[arr.labels[i] for i in flat.closed]} with multiplicities {loc.mult}"
+            where = f"flat {[arr.labels[i] for i in flat.closed]} with multiplicities {[m.mult[i] for i in flat.closed]}"
             pair = plane_exponent_pair(plane, arr.zeta_order)
             if pair != result.exponents:
                 return False, f"exponent pair {pair} != Saito-certified {result.exponents} at {where}"

@@ -235,23 +235,33 @@ def test_restriction_traces_commute_with_the_forms(g333, monkeypatch) -> None:
 def test_localization_keeps_multiplicities(g333) -> None:
     m = multi(g333, [i + 1 for i in range(g333.n)])
     flat = next(f for f in intersection_lattice(g333, 2) if f.rank == 2)
-    loc = localize_multi(m, flat)
-    assert loc.arrangement.hyperplanes == tuple(g333.hyperplanes[i] for i in flat.closed)
-    assert loc.mult == tuple(i + 1 for i in flat.closed)
-    assert loc.arrangement.labels == tuple(g333.labels[i] for i in flat.closed)
+    copy = multi(*localize_multi(m, flat))
+    assert copy.arrangement.hyperplanes == tuple(g333.hyperplanes[i] for i in flat.closed)
+    assert copy.mult == tuple(i + 1 for i in flat.closed)
+    assert copy.arrangement.labels == tuple(g333.labels[i] for i in flat.closed)
+
+
+def test_localization_is_a_state_of_its_parent(g333) -> None:
+    m = multi(g333, [i + 1 for i in range(g333.n)])
+    for flat in intersection_lattice(g333, 3)[1:]:
+        loc = localize_multi(m, flat)
+        assert loc.arrangement is g333
+        assert loc.mult == tuple(i + 1 if i in flat.closed else 0 for i in range(g333.n))
+        assert state_key(*loc) == state_key(*multi(*loc))
 
 
 def test_essentialize_drops_to_the_rank(g333) -> None:
     flat = next(f for f in intersection_lattice(g333, 2) if f.rank == 2)
     loc = localize_multi(simple_multi(g333), flat)
-    assert loc.arrangement.dim == 3
+    copy = multi(*loc)
+    assert copy.arrangement.dim == 3
     ess = essentialize(loc)
-    assert ess.arrangement.dim == rank_of(loc.arrangement) == 2
-    assert ess.mult == loc.mult
-    assert ess.arrangement.labels == loc.arrangement.labels
+    assert ess.arrangement.dim == rank_of(copy.arrangement) == 2
+    assert ess.mult == copy.mult
+    assert ess.arrangement.labels == copy.arrangement.labels
     assert rank_of(ess.arrangement) == 2
-    # already essential: returned untouched
-    assert essentialize(ess) is ess
+    # already essential: returned unchanged
+    assert essentialize(ess) == ess
     assert essentialize(simple_multi(g333)) is not None
 
 

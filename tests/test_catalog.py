@@ -321,7 +321,7 @@ def test_window_specs_are_self_isomorphic() -> None:
 def test_isomorphism_refuses_a_non_essential_source() -> None:
     arr = intermediate(parse_spec_string("A:3:3:0"))
     flat = next(f for f in intersection_lattice(arr, 2) if f.rank == 2)
-    loc = localize_multi(simple_multi(arr), flat)
+    loc = multi(*localize_multi(simple_multi(arr), flat))
     with pytest.raises(ValueError, match="essentialize"):
         find_linear_isomorphism(loc, loc)
 

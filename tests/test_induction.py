@@ -9,9 +9,12 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multiarr import arrangement as arrangement_module
 from multiarr import induction, linalg, rank2
-from multiarr.arrangement import arrangement, multi, rank_of, simple_multi, state_key, ziegler_multiplicity
+from multiarr.arrangement import MultiArrangement, arrangement, multi, rank_of, simple_multi, state_key, ziegler_multiplicity
 from multiarr.catalog import (
     IntermediateSpec,
     expected_exponents,
@@ -40,7 +43,17 @@ from multiarr.induction import (
     replay_table,
     table_rows,
 )
-from multiarr.rank2 import canonical_plane, common_value, euler_multiplicity, euler_pattern, indexed_plane, plane_exponent_pair
+from multiarr.rank2 import (
+    canonical_plane,
+    common_value,
+    euler_multiplicity,
+    euler_pattern,
+    indexed_plane,
+    low_rank_exponents,
+    padded,
+    plane_exponent_pair,
+    rank2_exponents,
+)
 from multiarr.scalars import one, zero, zeta
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -491,6 +504,21 @@ def test_replay_restricts_the_certificates_own_arrangement(monkeypatch) -> None:
     assert sorted(h0 for _, h0 in built) == sorted(m.arrangement.index_of_label(label) for label in labels)
 
 
+def test_replay_builds_no_copy(monkeypatch) -> None:
+    # the base and every row's Euler restriction stay states of their
+    # parents: no standalone copy is made, and no rank is taken
+    m = load_fixture(DATA / "a444_kappa.arr")
+    doc = json.loads((DATA / "a444_kappa.json").read_text(encoding="utf-8"))
+    calls = []
+    for module in (arrangement_module, induction, rank2):
+        for name in ("multi", "rank_of"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, name=name, original=original: calls.append(name) or original(*args))
+    assert replay_table(m, doc)[1] == (5, 9, 13)
+    assert calls == []
+
+
 def test_replay_solves_each_euler_value_once(monkeypatch) -> None:
     # common_value runs once per (pattern, group, multiplicities), only for
     # groups of two or more members, and never again for a second replay:
@@ -559,6 +587,37 @@ def test_hereditary_verdicts() -> None:
     assert rep.verdict == "no"
     assert rep.failed_flat is None  # the arrangement itself already fails
     assert rep.checked == 1
+
+
+def test_hereditary_of_a_rank_zero_arrangement() -> None:
+    # no hyperplane: the arrangement itself is the only one to check
+    arr = arrangement(2, 1, [])
+    assert is_inductively_free(simple_multi(arr)).verdict == "yes"
+    rep = hereditarily_inductively_free(arr)
+    assert (rep.verdict, rep.failed_flat, rep.checked) == ("yes", None, 1)
+
+
+# catalog arrangements of rank <= 3 only: an Euler restriction of a state
+# orders its hyperplanes as the parent does, not as the support's copy,
+# so in rank 4 the searches of rank-3 restrictions may walk in another
+# order, and only the verdicts agree
+SMALL_SPECS = [f"A:{r}:{l}:{k}" for r in (2, 3) for l in (2, 3) for k in range(l + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SPECS), st.lists(st.integers(0, 2), min_size=15, max_size=15))
+def test_a_state_and_its_copy_agree(text, mults) -> None:
+    arr = intermediate(parse_spec_string(text))
+    state = MultiArrangement(arr, tuple(mults[: arr.n]))
+    copy = multi(*state)
+    certified = rank2_exponents(state)
+    assert certified == rank2_exponents(copy)
+    low = low_rank_exponents(*state)
+    assert low == low_rank_exponents(*copy)
+    # the search's route against the certified one, on states check 7 never sees
+    assert low == (None if certified is None else padded(certified.exponents, arr.dim))
+    got, want = is_inductively_free(state, budget=2000), is_inductively_free(copy, budget=2000)
+    assert (got.verdict, got.nodes, got.steps, got.base) == (want.verdict, want.nodes, want.steps, want.base)
 
 
 def test_refuter_finds_the_known_chain() -> None:

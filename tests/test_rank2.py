@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiarr.arrangement import (
+    MultiArrangement,
     arrangement,
     concentrated_multiplicity,
     essentialize,
@@ -20,7 +21,7 @@ from multiarr.arrangement import (
     simple_multi,
     ziegler_multiplicity,
 )
-from multiarr import rank2
+from multiarr import linalg, rank2
 from multiarr.catalog import intermediate, parse_spec_string, shipped_fixture, shipped_fixture_names
 from multiarr.rank2 import (
     Rank2Derivation,
@@ -272,6 +273,25 @@ def test_planes_are_the_essentialized_localizations(make) -> None:
         ess = essentialize(localize_multi(simple_multi(arr), flat))
         lines = (form.coeffs for form in ess.arrangement.hyperplanes)
         assert indexed_plane(arr, flat.closed) == canonical_plane(zip(lines, flat.closed))
+
+
+def test_a_state_gets_the_certified_pair_of_its_copy() -> None:
+    # zeros kept: the pair, witness and plane of every rank <= 2 support
+    # are its copy's, as pivot coordinates depend only on the row space;
+    # a rank-3 support gets None
+    arr = intermediate(parse_spec_string("A:3:3:0"))
+    ranks = set()
+    for flat in intersection_lattice(arr, 3):
+        for drop in range(len(flat.closed) + 1):
+            kept = flat.closed[drop:]
+            mult = tuple(i % 3 + 1 if i in kept else 0 for i in range(arr.n))
+            rank = linalg.rank([arr.hyperplanes[i].coeffs for i in kept], arr.dim)
+            ranks.add(rank)
+            got = rank2_exponents(MultiArrangement(arr, mult))
+            assert got == rank2_exponents(multi(arr, mult))
+            assert (got is None) == (rank == 3)
+            assert (got is not None and got.witness is not None) == (rank == 2)
+    assert ranks == {0, 1, 2, 3}
 
 
 def test_low_rank_inputs_are_witnessless() -> None:
