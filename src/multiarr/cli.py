@@ -478,7 +478,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--exponents", required=True, metavar="LIST", help="comma- or space-separated, one per dimension, summing to |mu|")
     p.set_defaults(fn=_cmd_refute)
 
-    p = add("table", "emit an addition table, or replay one against its fixture", search=True)
+    p = add("table", "emit an addition table, or replay one against its fixture", search=True, ziegler=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--replay", metavar="FILE", help="JSON table or indfree --json output to replay")
     g.add_argument("--shipped-table", metavar="NAME", help="replay a table shipped with the package")

@@ -127,17 +127,20 @@ def _digest_order(arr: Arrangement) -> tuple[tuple[tuple, int], ...]:
 class Session:
     """Search memo shared by every call that is handed the same session.
 
-    ``yes`` maps a canonical state key to its exponents and the form key
-    of the addition that reached it (None for a chain base); ``no``
-    holds the keys proven not inductively free.  Both only ever gain
-    proven facts, so sharing a session changes node counts and which
-    certificate is found, never a verdict.  Keys and additions name
-    forms by form key, not index, so an entry written in one arrangement
-    is read in another of equal content and other hyperplane order.
+    ``yes`` maps a canonical state key to its exponents, the form key of
+    the addition that proved it and the exponents of the Euler
+    restriction that addition checked, or to (exponents, None, None) for
+    a chain base; ``no`` holds the keys proven not inductively free.
+    Both only ever gain proven facts, so sharing a session changes node
+    counts and which certificate is found, never a verdict.  Keys and
+    additions name forms by form key, not index, and restriction
+    exponents depend only on content, so an entry written in one
+    arrangement is read in another of equal content and other hyperplane
+    order.
     """
 
     def __init__(self) -> None:
-        self.yes: dict[tuple, tuple[tuple[int, ...], tuple | None]] = {}
+        self.yes: dict[tuple, tuple[tuple[int, ...], tuple | None, tuple[int, ...] | None]] = {}
         self.no: set[tuple] = set()
 
 
@@ -205,7 +208,7 @@ class _Engine:
         exps = low_rank_exponents(arr, target)
         if exps is not None:
             self.spend()
-            yes[key] = (exps, None)
+            yes[key] = (exps, None, None)
             return exps
 
         # Chains grow upward from the zero vector inside the box 0 <= x <= target;
@@ -233,7 +236,7 @@ class _Engine:
                 if prior is not None:
                     y_exps = prior[0]
                 elif (y_exps := low_rank_exponents(arr, y)) is not None:
-                    yes[y_key] = (y_exps, None)
+                    yes[y_key] = (y_exps, None, None)
                 else:
                     # sound size prefilter: exps(y) = exps(restriction) + {b + 1},
                     # where the leftover b = |mu_x| - |mu*| must be in exps(x)
@@ -243,7 +246,7 @@ class _Engine:
                     r_exps = self.restriction_exponents(arr, h, restricted)
                     if r_exps is None or (y_exps := check_addition_step(x_exps, r_exps)) is None:
                         continue
-                    yes[y_key] = (y_exps, form_keys(arr)[h])
+                    yes[y_key] = (y_exps, form_keys(arr)[h], r_exps)
                 yield y_exps, y
 
         path = self.walk(((0,) * arr.dim, (0,) * arr.n), additions, target.__eq__, dead)
@@ -302,27 +305,20 @@ def is_inductively_free(
     if exps is None:
         return InductionReport("no", None, (), (), None, engine.nodes)
 
-    # Each row is read from the memo, with no search and no budget spent:
-    # exp(A, mu) is exp(A', mu') with one value b raised to b + 1, so b is
-    # the one value whose count falls, and exp(A'', mu*) is exp(A', mu') less b.
+    # Each row is the memo entry its addition wrote: no search, no budget spent.
     yes = session.yes
     steps: list[InductionStep] = []
     cur = state
     while True:
-        cur_exps, h0_key = yes[state_key(arr, cur)]
+        cur_exps, h0_key, r_exps = yes[state_key(arr, cur)]
         if h0_key is None:
             break
         h0 = form_keys(arr).index(h0_key)
-        child_state = cur[:h0] + (cur[h0] - 1,) + cur[h0 + 1 :]
-        child_exps = yes[state_key(arr, child_state)][0]
-        r_exps = list(child_exps)
-        r_exps.remove(next(b for b in child_exps if child_exps.count(b) > cur_exps.count(b)))
-        steps.append(InductionStep(child_exps, arr.labels[h0], tuple(r_exps)))
-        cur = child_state
+        cur = cur[:h0] + (cur[h0] - 1,) + cur[h0 + 1 :]
+        steps.append(InductionStep(yes[state_key(arr, cur)][0], arr.labels[h0], r_exps))
     steps.reverse()
     base = tuple((arr.labels[i], mu) for i, mu in enumerate(cur) if mu)
-    base_exps = yes[state_key(arr, cur)][0]
-    return InductionReport("yes", exps, tuple(steps), base, base_exps, engine.nodes)
+    return InductionReport("yes", exps, tuple(steps), base, cur_exps, engine.nodes)
 
 
 class ObstructionReport(NamedTuple):

@@ -401,8 +401,16 @@ def _a342_with_label(label: str) -> dict:
         (_with(start_exponents=None), "need 'start_exponents' and 'rows'"),
         (_with(final_exponents=7), "'final_exponents'"),
         (_a342_with_label("zz"), "replay failed: row 0: no hyperplane labelled 'zz'\n"),
+        (
+            _with(rows=[[[1, 6, 8], "a5", [6, 7]], *shipped_table("g33_a2_kappa")["rows"][1:]]),
+            "replay failed: row 0: expected exponents (1, 6, 7), table says (1, 6, 8)\n",
+        ),
+        (_with(final_exponents=[7, 9, 12]), "replay ends at (7, 9, 11), table claims (7, 9, 12)\n"),
     ],
-    ids=["list", "payload-list", "two-field-row", "int-label", "int-rows", "str-start", "no-start", "int-final", "unknown-label"],
+    ids=[
+        "list", "payload-list", "two-field-row", "int-label", "int-rows", "str-start", "no-start", "int-final",
+        "unknown-label", "wrong-before", "wrong-final",
+    ],
 )
 def test_malformed_table_is_an_error_not_a_traceback(capsys, tmp_path, doc, problem) -> None:
     path = tmp_path / "table.json"
@@ -411,6 +419,61 @@ def test_malformed_table_is_an_error_not_a_traceback(capsys, tmp_path, doc, prob
     assert code == 1 and out == ""
     assert err.startswith(f"error: {path}: ") and problem in err
     assert "Traceback" not in err
+
+
+def test_failed_containment_is_an_error_not_a_traceback(capsys, tmp_path) -> None:
+    # x, y, z, x+y+z is not free: adding x+y+z to the Boolean base gives a
+    # restriction {1, 2} that is not contained in {1, 1, 1}
+    fixture = tmp_path / "xyz.arr"
+    fixture.write_text("dim 3\nzeta 1\n" + "".join(f"form ({form}) mult 1\n" for form in ("1,0,0", "0,1,0", "0,0,1", "1,1,1")), encoding="utf-8")
+    table = tmp_path / "xyz.json"
+    table.write_text(json.dumps({"start_exponents": [1, 1, 1], "rows": [[[1, 1, 1], "a4", [1, 2]]]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["table", "--replay", str(table), "--fixture", str(fixture)])
+    assert code == 1 and out == ""
+    assert err == f"error: {table}: replay failed: row 0: containment fails: (1, 1, 1) vs (1, 2)\n"
+
+
+@pytest.mark.parametrize("command", ["indfree", "table"])
+def test_ziegler_certificates_replay(capsys, tmp_path, command) -> None:
+    # the table of a Ziegler restriction names no fixture, so its replay
+    # takes the same --spec and --ziegler as the command that printed it
+    source = ["--spec", "A:3:4:2", "--ziegler", "H_{1,2}(1)"]
+    code, out, _ = run_cli(capsys, [command, *source, "--json"])
+    assert code == 0
+    doc = tmp_path / "zieg.json"
+    doc.write_text(out, encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["table", "--replay", str(doc), *source, "--json"])
+    assert code == 0
+    payload = payload_of(out)
+    assert (payload["rows"], payload["final_exponents"]) == (14, [4, 7, 8])
+    assert payload["input"] == "Ziegler restriction of A:3:4:2 at H_{1,2}(1)"
+
+
+# a subarrangement of A:2:4:0 that is inductively free, while its restriction to a8 is not
+_HEREDITARY_FAILURE = "dim 4\nzeta 1\n" + "".join(
+    f"form ({form}) mult 1\n"
+    for form in (
+        "1,-1,0,0", "1,1,0,0", "1,0,-1,0", "1,0,1,0", "1,0,0,-1",
+        "1,0,0,1", "0,1,-1,0", "0,1,1,0", "0,1,0,1", "0,0,1,-1",
+    )
+)
+
+
+def test_hereditary_negative_answers(capsys) -> None:
+    code, out, _ = run_cli(capsys, ["hereditary", "--spec", "A:3:3:0", "--json"])
+    assert code == 2
+    assert payload_of(out) == {"checked": 1, "failed_flat": None, "input": "A:3:3:0", "verdict": "no"}
+    code, out, _ = run_cli(capsys, ["hereditary", "--spec", "A:3:3:0"])
+    assert code == 2 and out == "A:3:3:0: the arrangement itself fails (no)\n"
+
+    argv = ["--fixture", "-", "--json"]
+    code, out, _ = run_cli(capsys, ["indfree", *argv], stdin_text=_HEREDITARY_FAILURE)
+    assert code == 0 and payload_of(out)["verdict"] == "yes"
+    code, out, _ = run_cli(capsys, ["hereditary", *argv], stdin_text=_HEREDITARY_FAILURE)
+    assert code == 2
+    assert out == '{"payload":{"checked":9,"failed_flat":["a8"],"input":"<stdin>","verdict":"no"},"status":"refuted"}\n'
+    code, out, _ = run_cli(capsys, ["hereditary", "--fixture", "-"], stdin_text=_HEREDITARY_FAILURE)
+    assert code == 2 and out == "<stdin>: restriction to {a8} is not inductively free\n"
 
 
 @pytest.mark.parametrize("option", ["--replay", "--fixture"])

@@ -180,9 +180,28 @@ def test_memo_keys_are_integer_content(make) -> None:
         # rank 4: the restrictions are searched, and memoized under keys
         # of their own dimension
         assert {key[0] for key in session.yes} == {3, 4}
-    preds = [pred for _, pred in session.yes.values() if pred is not None]
+    preds = [pred for _, pred, _ in session.yes.values() if pred is not None]
     assert preds and session.yes
     assert all(int_leaves(key) for key in [*session.yes, *session.no, *preds])
+
+
+def test_rows_read_in_a_reordered_arrangement_replay() -> None:
+    # a memo row names its form by form key and records exponents of
+    # content alone, so another hyperplane order of the same content reads
+    # the same certificate off a shared session, and it replays there
+    m = shipped_fixture("g33_a2_kappa")
+    arr = m.arrangement
+    perm = list(range(arr.n))
+    random.Random(3).shuffle(perm)
+    reordered = arrangement(arr.dim, arr.zeta_order, [arr.hyperplanes[i] for i in perm], [arr.labels[i] for i in perm])
+    other = MultiArrangement(reordered, tuple(m.mult[i] for i in perm))
+    session = Session()
+    first = is_inductively_free(m, session=session)
+    again = is_inductively_free(other, session=session)
+    assert again.nodes == 0
+    assert (again.steps, again.base_exponents) == (first.steps, first.base_exponents)
+    assert sorted(again.base) == sorted(first.base)
+    assert replay_addition_rows(other, again.base_exponents, again.steps) == first.exponents == (7, 9, 11)
 
 
 def test_state_keys_follow_content_not_order() -> None:
@@ -484,6 +503,12 @@ def test_replay_searches_each_restriction_once(monkeypatch, spec) -> None:
             assert nodes == 0
         seen.add(key)
     assert repeats > 0
+
+
+def test_replay_table_checks_the_document_shape() -> None:
+    # the CLI checks the shape before it loads a fixture; the library checks it itself
+    with pytest.raises(ValueError, match="^expected a JSON object, got list$"):
+        replay_table(shipped_fixture("g33_a2_kappa"), [1, 2])
 
 
 def test_replay_restricts_the_certificates_own_arrangement(monkeypatch) -> None:
