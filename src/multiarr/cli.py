@@ -252,6 +252,8 @@ def _cmd_restriction(args) -> int:
         result = euler_multiplicity(m, h0)
         what = "Euler restriction"
     header = f"{what} of {name} at {m.arrangement.labels[h0]}"
+    if not result.arrangement.n:
+        raise CommandError(f"the {header} has no hyperplanes, which no fixture can hold; indfree --ziegler H0 decides it")
     text = format_fixture(result, header)
     payload = {
         "input": name,
@@ -339,71 +341,52 @@ def _cmd_refute(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.replay or args.shipped_table:
-        if args.shipped_table:
-            try:
-                doc = shipped_table(args.shipped_table)
-            except KeyError:
-                raise CommandError(
-                    f"no shipped table {args.shipped_table!r}; shipped: " + ", ".join(shipped_table_names())
-                ) from None
-            source = args.shipped_table
-        else:
-            path = Path(args.replay)
-            if not path.exists():
-                raise CommandError(f"{args.replay}: no such file")
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
-                raise CommandError(f"{args.replay}: {exc}") from None
-            if isinstance(doc, dict) and "payload" in doc:  # a --json indfree result
-                doc = doc["payload"]
-            source = args.replay
-        # the shape first: a document that is not an object names no fixture
-        problem = table_shape_error(doc)
-        if problem is not None:
-            raise CommandError(f"{source}: {problem}")
-        named = doc.get("fixture") or doc.get("input")
-        if getattr(args, "spec", None) or getattr(args, "fixture", None):
-            m, name = _load_input(args)
-        elif isinstance(named, str):
-            try:
-                parse_spec_string(named)
-                args.spec = named
-            except ValueError:
-                args.fixture = named
-            m, name = _load_input(args)
-        else:
+    source = args.replay
+    if Path(source).exists():
+        try:
+            doc = json.loads(Path(source).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+            raise CommandError(f"{source}: {exc}") from None
+        if isinstance(doc, dict) and "payload" in doc:  # a --json indfree result
+            doc = doc["payload"]
+    else:
+        try:
+            doc = shipped_table(source)
+        except KeyError:
+            raise CommandError(
+                f"{source!r} is neither a file nor a shipped table; shipped: " + ", ".join(shipped_table_names())
+            ) from None
+    # the shape first: a document that is not an object names no fixture
+    problem = table_shape_error(doc)
+    if problem is not None:
+        raise CommandError(f"{source}: {problem}")
+    named = doc.get("fixture") or doc.get("input")
+    if not (args.spec or args.fixture):
+        if not isinstance(named, str):
             raise CommandError("the table does not name its fixture; pass --fixture/--spec")
         try:
-            rows, final = replay_table(m, doc, args.budget)
-        except BudgetExceeded:
-            return _emit(args, "unknown", {"input": name, "table": source}, f"{source}: undecided within the budget of {args.budget} states")
-        except ValueError as exc:
-            raise CommandError(f"{source}: {exc}") from None
-        payload = {
-            "input": name,
-            "table": source,
-            "rows": len(rows),
-            "final_exponents": list(final),
-        }
-        human = (
-            f"{source}: {len(rows)} rows replayed against {name}; "
-            f"final exponents {{{', '.join(map(str, final))}}}"
-        )
-        return _emit(args, "ok", payload, human)
-
+            parse_spec_string(named)
+            args.spec = named
+        except ValueError:
+            args.fixture = named
     m, name = _load_input(args)
-    rep = is_inductively_free(m, args.budget, _progress(f"table {name}"))
-    if rep.verdict != "yes":
-        raise CommandError(f"{name}: no table, verdict is {rep.verdict}")
+    try:
+        rows, final = replay_table(m, doc, args.budget)
+    except BudgetExceeded:
+        return _emit(args, "unknown", {"input": name, "table": source}, f"{source}: undecided within the budget of {args.budget} states")
+    except ValueError as exc:
+        raise CommandError(f"{source}: {exc}") from None
     payload = {
         "input": name,
-        "start_exponents": list(rep.base_exponents),
-        "final_exponents": sorted(rep.exponents),
-        "rows": table_rows(rep),
+        "table": source,
+        "rows": len(rows),
+        "final_exponents": list(final),
     }
-    return _emit(args, "ok", payload, emit_induction_table(rep))
+    human = (
+        f"{source}: {len(rows)} rows replayed against {name}; "
+        f"final exponents {{{', '.join(map(str, final))}}}"
+    )
+    return _emit(args, "ok", payload, human)
 
 
 def _cmd_verify_paper(args) -> int:
@@ -478,10 +461,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--exponents", required=True, metavar="LIST", help="comma- or space-separated, one per dimension, summing to |mu|")
     p.set_defaults(fn=_cmd_refute)
 
-    p = add("table", "emit an addition table, or replay one against its fixture", search=True, ziegler=True)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--replay", metavar="FILE", help="JSON table or indfree --json output to replay")
-    g.add_argument("--shipped-table", metavar="NAME", help="replay a table shipped with the package")
+    p = add("table", "replay an addition table (a shipped one, or indfree --json output) against its fixture", search=True, ziegler=True)
+    p.add_argument("--replay", required=True, metavar="NAME|PATH", help="table file, indfree --json output, or shipped table name")
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("verify-paper", help="run the bundled acceptance checks", description="Run the bundled acceptance checks; any failure makes the exit code nonzero.")

@@ -608,7 +608,7 @@ def table_shape_error(doc) -> str | None:
     """What is malformed about a table document, or None if its shape is right."""
     if not isinstance(doc, dict):
         return f"expected a JSON object, got {type(doc).__name__}"
-    start, rows, final = doc.get("start_exponents"), doc.get("rows"), doc.get("final_exponents")
+    start, rows = doc.get("start_exponents"), doc.get("rows")
     if start is None or rows is None:
         return "need 'start_exponents' and 'rows'"
     if not _int_list(start):
@@ -618,8 +618,9 @@ def table_shape_error(doc) -> str | None:
     for i, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == 3 and _int_list(row[0]) and isinstance(row[1], str) and _int_list(row[2])):
             return f"row {i}: expected [exponents, label, exponents]"
-    if final is not None and not _int_list(final):
-        return "'final_exponents' must be a list of integers"
+    for key in ("final_exponents", "exponents"):
+        if doc.get(key) is not None and not _int_list(doc[key]):
+            return f"'{key}' must be a list of integers"
     return None
 
 
@@ -628,11 +629,14 @@ def replay_table(
 ) -> tuple[list[tuple[tuple[int, ...], str, tuple[int, ...]]], tuple[int, ...]]:
     """Replay an addition-table document against m: its rows and final exponents.
 
-    ``doc`` is a JSON object with integer ``start_exponents``, rows
-    ``[exponents, label, exponents]`` as :func:`table_rows` writes them,
-    and optionally integer ``final_exponents``, which the replay must
-    end at.  Raises ValueError on a malformed document or a failed replay,
-    BudgetExceeded when a search of the replay runs past ``budget``.
+    ``doc`` is a JSON object with integer ``start_exponents`` and rows
+    ``[exponents, label, exponents]`` as :func:`table_rows` writes them.
+    Each claim it also makes must hold: the final exponents, as
+    ``final_exponents`` or else an indfree payload's ``exponents``, and the
+    ``base``, m minus the rows' additions as [label, multiplicity] pairs
+    in hyperplane order.  Raises ValueError on a malformed document, a
+    failed replay or a false claim, BudgetExceeded when a search of the
+    replay runs past ``budget``.
     """
     problem = table_shape_error(doc)
     if problem is not None:
@@ -642,7 +646,14 @@ def replay_table(
         final = replay_addition_rows(m, tuple(doc["start_exponents"]), rows, budget=budget)
     except ValueError as exc:
         raise ValueError(f"replay failed: {exc}") from None
-    expected = doc.get("final_exponents")
+    expected = doc.get("final_exponents", doc.get("exponents"))
     if expected is not None and tuple(sorted(expected)) != final:
         raise ValueError(f"replay ends at {final}, table claims {tuple(sorted(expected))}")
+    if (claimed := doc.get("base")) is not None:
+        state = list(m.mult)
+        for _, label, _ in rows:
+            state[m.arrangement.index_of_label(label)] -= 1
+        base = [[label, mu] for label, mu in zip(m.arrangement.labels, state) if mu]
+        if claimed != base:
+            raise ValueError(f"the table's base {claimed} is not its rows' base {base}")
     return rows, final

@@ -184,9 +184,9 @@ def residue_field(order: int) -> Residues:
 
 
 def _ratio(value: int | Fraction) -> tuple[int, int]:
-    """Numerator and positive denominator of a rational operand."""
+    """Numerator and positive denominator of a rational operand; an inexact one is a TypeError."""
     if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
+        raise TypeError(f"a scalar operand must be an int or a Fraction, got {type(value).__name__}")
     return value.numerator, value.denominator
 
 

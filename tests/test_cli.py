@@ -102,49 +102,49 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["indfree", "--fixture", "g33_a2_kappa"], "239bf18c475ac91f74945d845ceee489d4320b860a7ed673f5f0a63bda69cc61"),
-        (
+        pin(["indfree", "--fixture", "g33_a2_kappa"], "239bf18c475ac91f74945d845ceee489d4320b860a7ed673f5f0a63bda69cc61"),
+        pin(
             ["indfree", "--spec", "A:3:4:2", "--ziegler", "H_{1,2}(1)"],
             "0bcdedd5132450e3857b932c704da8137a7dd005dda9cfa939bb3b15aea02a73",
         ),
-        (
+        pin(
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 9 11"],
             "a272e8e2d449be0264759c10347e94407bb5021d79d4fc8ad1475caf238bfd23",
         ),
-        (["table", "--shipped-table", "g33_a2_kappa"], "2cb9858fd69d57b8d05c6a9f049efa351ddebfe7325f5dc6a1d13b297c6d7f3a"),
-        (["charpoly", "--spec", "A:5:3:0"], "c58d94016b3adca5dde2340f0ebb9860c830e45b9a5f2adf369ad2edc680357d"),
+        pin(["table", "--replay", "g33_a2_kappa"], "2cb9858fd69d57b8d05c6a9f049efa351ddebfe7325f5dc6a1d13b297c6d7f3a"),
+        pin(["charpoly", "--spec", "A:5:3:0"], "c58d94016b3adca5dde2340f0ebb9860c830e45b9a5f2adf369ad2edc680357d"),
         # taken at the parent commit of the integer memo keys: A:2:4:4 has
         # rank 4, so its search shares memo keys across arrangements, and
         # hereditary runs 14 checks on one session
-        (["indfree", "--spec", "A:2:4:4"], "e661d32e19ec65abb73274cc0e88af28eb340705e9a875e7daf299c55d6d8e86"),
-        (["hereditary", "--spec", "A:2:3:0"], "a079a3be864485aa92a26fd289f0fe34b82d59fe2e001686304dbb6259c417c0"),
+        pin(["indfree", "--spec", "A:2:4:4"], "e661d32e19ec65abb73274cc0e88af28eb340705e9a875e7daf299c55d6d8e86"),
+        pin(["hereditary", "--spec", "A:2:3:0"], "a079a3be864485aa92a26fd289f0fe34b82d59fe2e001686304dbb6259c417c0"),
         # every refute pin was re-taken when b2 began to refute at the root:
         # these two end there (1 explored, 0 dead ends)
-        (
+        pin(
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "8 8 11"],
             "3791c315e8130e8ad402196aa52e363b57fedfbb9aae3b8d87f8e3f83320ca6e",
         ),
-        (
+        pin(
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 10 10"],
             "823c4461829b35a0292d64e674129f89a160ce655f5e10405fef562126138383",
         ),
         # taken at the parent commit of the searched Euler restrictions with
         # zero multiplicities kept: both recurse into rank-3 restrictions
         # whose support misses some restricted hyperplanes
-        (["indfree", "--spec", "A:3:4:4"], "dc91622b62e3a695ae3d80e4f84360062765967376895e971a47461a545f76c8"),
-        (["hereditary", "--spec", "A:2:4:4"], "c4e09cf841647234729c05987c3b83db2447d48d40893a4d8b2d0acf914549c1"),
+        pin(["indfree", "--spec", "A:3:4:4"], "dc91622b62e3a695ae3d80e4f84360062765967376895e971a47461a545f76c8"),
+        pin(["hereditary", "--spec", "A:2:4:4"], "c4e09cf841647234729c05987c3b83db2447d48d40893a4d8b2d0acf914549c1"),
         # a budget of 100 and two g34 inputs, all refuted at the root by b2;
         # the walk's own budget cut and exhaustive refutations are pinned in
         # test_induction
-        (
+        pin(
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "8 8 11", "--budget", "100"],
             "3791c315e8130e8ad402196aa52e363b57fedfbb9aae3b8d87f8e3f83320ca6e",
         ),
-        (
+        pin(
             ["refute", "--fixture", "g34_g333_kappa", "--exponents", "14 15 19"],
             "c50af52621e79e0450ddc4359919d40e5aa072fe41aa385f4fec8d7d5ddd165d",
         ),
-        (
+        pin(
             ["refute", "--fixture", "g34_a1a2_kappa", "--exponents", "14 18 23"],
             "a3c478e9bd0d3bdff2b07c694f1a9f48413940e7dfdf27c5bc3b9a5c17fe2133",
         ),
@@ -152,14 +152,14 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
         # exhaustive no (256 nodes), an unknown inside a restricted
         # sub-search, a budget overdrawn by entering the empty state
         # (28 explored, depth 26), and a budget of 500 that b2 no longer needs
-        (["indfree", "--spec", "A:3:3:0"], "a240e378ba00b0898518bf9503de019e04187890c3c11bccac468287e9cb3cc8"),
-        (["indfree", "--spec", "A:3:4:4", "--budget", "20"], "e349f8e5d52479164bff297b1444732337b5df73046cd92e57a3a4de4f910a75"),
-        (
+        pin(["indfree", "--spec", "A:3:3:0"], "a240e378ba00b0898518bf9503de019e04187890c3c11bccac468287e9cb3cc8"),
+        pin(["indfree", "--spec", "A:3:4:4", "--budget", "20"], "e349f8e5d52479164bff297b1444732337b5df73046cd92e57a3a4de4f910a75"),
+        pin(
             ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 9 11", "--budget", "27"],
             "3dc8ad1689ee63034eb42be33f4184a46a81960fc7d8988bab3567e0362c8aef",
         ),
-        (
-            ["refute", "--fixture", "g34_g333_kappa", "--exponents", "14 15 19", "--budget", "500"],
+        pin(
+            ["refute", "--fixture", "g34_g333_kappa", "--budget", "500", "--exponents", "14 15 19"],
             "c50af52621e79e0450ddc4359919d40e5aa072fe41aa385f4fec8d7d5ddd165d",
         ),
     ],
@@ -178,6 +178,18 @@ def test_refute_rejects_a_negative_exponent(capsys) -> None:
     assert "exponents must be >= 0" in err
     code, out, _ = run_cli(capsys, [*argv, "0 0 27"])
     assert code == 2 and '"verdict":"refuted"' in out
+
+
+# x, y, z, x+y+z: chi = t^3 - 4t^2 + 6t - 3 = (t - 1)(t^2 - 3t + 3), which is not free
+_XYZ = "dim 3\nzeta 1\n" + "".join(f"form ({form}) mult 1\n" for form in ("1,0,0", "0,1,0", "0,0,1", "1,1,1"))
+
+
+def test_charpoly_that_does_not_split(capsys) -> None:
+    code, out, _ = run_cli(capsys, ["charpoly", "--fixture", "-"], _XYZ)
+    assert code == 0
+    assert out == "chi(<stdin>; t) = t^3 - 4*t^2 + 6*t - 3\ndoes not split into integer linear factors\n"
+    code, out, _ = run_cli(capsys, ["charpoly", "--fixture", "-", "--json"], _XYZ)
+    assert payload_of(out) == {"input": "<stdin>", "coefficients": [-3, 6, -4, 1], "exponents": None}
 
 
 def test_charpoly_output(capsys) -> None:
@@ -238,6 +250,13 @@ def test_usage_errors_exit_one(capsys) -> None:
     assert code == 1 and "not allowed with" in err
     code, _, err = run_cli(capsys, ["lattice", "--fixture", "/nope/missing.arr"])
     assert code == 1 and "neither a file nor a shipped fixture" in err
+    # table only replays: the certificate comes from indfree
+    code, out, err = run_cli(capsys, ["table", "--spec", "A:2:3:0"])
+    assert code == 1 and out == "" and "usage" in err and "required: --replay" in err
+    code, out, err = run_cli(capsys, ["indfree", "--spec", "A:2:3:0", "--budget", "x"])
+    assert code == 1 and out == "" and "need an integer, got 'x'" in err and "Traceback" not in err
+    code, out, err = run_cli(capsys, ["refute", "--fixture", "g33_a2_kappa", "--exponents", "7 9 x"])
+    assert code == 1 and out == "" and err == "error: --exponents '7 9 x': need integers\n"
 
 
 def test_hyperplane_resolution_variants(capsys) -> None:
@@ -248,6 +267,15 @@ def test_hyperplane_resolution_variants(capsys) -> None:
     assert by_label[0] == by_position[0] == by_expr[0] == 0
     assert by_label[1] == by_position[1] == by_expr[1]
     assert payload_of(by_label[1])["h0"] == "H_{1,2}(-z - 1)"
+
+
+def test_coordinate_notation_resolves_through_its_form(capsys) -> None:
+    # H_3 is the form x_3, the third hyperplane of x, y, z, x+y+z, whatever its label
+    code, out, _ = run_cli(capsys, ["euler", "--fixture", "-", "--h0", "H_3", "--json"], _XYZ)
+    assert code == 0 and payload_of(out)["h0"] == "a3"
+    code, out, err = run_cli(capsys, ["euler", "--spec", "A:2:2:0", "--h0", "H_{1,3}(1)"])
+    assert code == 1 and out == ""
+    assert err == "error: H_{1,3}(1): coordinate pair out of range\n"
 
 
 def test_hyperplane_resolution_failures(capsys) -> None:
@@ -271,6 +299,20 @@ def test_euler_output_is_a_fixture(capsys) -> None:
     parsed = parse_fixture(out)
     direct = euler_multiplicity(shipped_fixture("g33_a2_kappa"), 0)
     assert state_key(*parsed) == state_key(*direct)
+
+
+@pytest.mark.parametrize(
+    "command, fixture",
+    [("ziegler", "dim 1\nzeta 1\nform (1) mult 1\n"), ("euler", "dim 2\nzeta 1\nform (1,0) mult 2\n")],
+    ids=["ziegler-of-a-line", "euler-of-a-double-line"],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+def test_a_restriction_without_hyperplanes_is_no_fixture(capsys, command, fixture, json_flag) -> None:
+    # the fixture reader rejects a file with no forms, so the writer prints none
+    code, out, err = run_cli(capsys, [command, "--fixture", "-", "--h0", "a1", *json_flag], fixture)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the ") and "at a1 has no hyperplanes" in err
+    assert "indfree --ziegler H0 decides it" in err
 
 
 def test_ziegler_pipes_into_refute(capsys) -> None:
@@ -323,28 +365,21 @@ def test_hereditary_requires_simple(capsys) -> None:
 
 
 def test_shipped_table_replay(capsys) -> None:
-    code, out, _ = run_cli(capsys, ["table", "--shipped-table", "g33_a2_kappa", "--json"])
+    code, out, _ = run_cli(capsys, ["table", "--replay", "g33_a2_kappa", "--json"])
     assert code == 0
     payload = payload_of(out)
     assert payload["rows"] == 13
     assert payload["final_exponents"] == [7, 9, 11]
-    code, _, err = run_cli(capsys, ["table", "--shipped-table", "nope"])
-    assert code == 1 and "no shipped table" in err
-
-
-def test_replay_and_shipped_table_exclude_each_other(capsys) -> None:
-    argv = ["table", "--replay", str(DATA / "a444_kappa.json"), "--shipped-table", "g33_a2_kappa", "--json"]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 1 and out == ""
-    assert "not allowed with argument --replay" in err
+    code, _, err = run_cli(capsys, ["table", "--replay", "nope"])
+    assert code == 1 and "'nope' is neither a file nor a shipped table; shipped: g33_a2_kappa," in err
 
 
 def test_replay_searches_keep_the_budget(capsys) -> None:
     # the base of this table is a rank-3 search of 1,089 states
-    code, out, _ = run_cli(capsys, ["table", "--shipped-table", "g34_a1a2_kappa", "--budget", "5", "--json"])
+    code, out, _ = run_cli(capsys, ["table", "--replay", "g34_a1a2_kappa", "--budget", "5", "--json"])
     assert code == 3
     assert json.loads(out) == {"status": "unknown", "payload": {"input": "g34_a1a2_kappa", "table": "g34_a1a2_kappa"}}
-    code, out, _ = run_cli(capsys, ["table", "--shipped-table", "g34_a1a2_kappa", "--budget", "5"])
+    code, out, _ = run_cli(capsys, ["table", "--replay", "g34_a1a2_kappa", "--budget", "5"])
     assert code == 3 and "undecided within the budget of 5 states" in out
     # a replay that searches nothing spends no budget
     argv = ["table", "--replay", str(DATA / "a444_kappa.json"), "--fixture", str(DATA / "a444_kappa.arr")]
@@ -374,6 +409,39 @@ def test_emitted_table_replays(capsys, tmp_path) -> None:
     code, _, err = run_cli(capsys, ["table", "--replay", str(bad)])
     assert code == 1
     assert "replay failed" in err
+
+
+@pytest.mark.parametrize(
+    "claim, value, problem",
+    [
+        ("exponents", [1, 2, 3], "replay ends at (7, 9, 11), table claims (1, 2, 3)\n"),
+        ("base", [["a1", 5]], "the table's base [['a1', 5]] is not its rows' base [['a5', 1], ['a8', 1]]\n"),
+    ],
+    ids=["exponents", "base"],
+)
+def test_a_certificate_with_a_false_claim_is_refused(capsys, tmp_path, claim, value, problem) -> None:
+    code, out, _ = run_cli(capsys, ["indfree", "--fixture", "g33_a2_kappa", "--json"])
+    assert code == 0
+    path = tmp_path / "cert.json"
+    path.write_text(out, encoding="utf-8")
+    doc = json.loads(out)
+    code, out, _ = run_cli(capsys, ["table", "--replay", str(path)])
+    assert code == 0 and out == f"{path}: 25 rows replayed against g33_a2_kappa; final exponents {{7, 9, 11}}\n"
+    doc["payload"][claim] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["table", "--replay", str(path)])
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: {problem}"
+
+
+def test_a_table_that_names_no_fixture_needs_an_input(capsys, tmp_path) -> None:
+    path = tmp_path / "anonymous.json"
+    path.write_text(json.dumps({"start_exponents": [1], "rows": []}), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["table", "--replay", str(path)])
+    assert code == 1 and out == ""
+    assert err == "error: the table does not name its fixture; pass --fixture/--spec\n"
+    code, out, _ = run_cli(capsys, ["table", "--replay", str(path), "--fixture", "-"], "dim 1\nzeta 1\nform (1) mult 1\n")
+    assert code == 0 and out == f"{path}: 0 rows replayed against <stdin>; final exponents {{1}}\n"
 
 
 def _with(**fields) -> dict:
@@ -406,10 +474,15 @@ def _a342_with_label(label: str) -> dict:
             "replay failed: row 0: expected exponents (1, 6, 7), table says (1, 6, 8)\n",
         ),
         (_with(final_exponents=[7, 9, 12]), "replay ends at (7, 9, 11), table claims (7, 9, 12)\n"),
+        (_with(exponents=7), "'exponents' must be a list of integers"),
+        (
+            {"fixture": "A:3:3:0", "start_exponents": [1, 4, 4], "rows": []},
+            "replay failed: base: a rank-3 restriction is not inductively free (no)\n",
+        ),
     ],
     ids=[
         "list", "payload-list", "two-field-row", "int-label", "int-rows", "str-start", "no-start", "int-final",
-        "unknown-label", "wrong-before", "wrong-final",
+        "unknown-label", "wrong-before", "wrong-final", "int-exponents", "unfree-base",
     ],
 )
 def test_malformed_table_is_an_error_not_a_traceback(capsys, tmp_path, doc, problem) -> None:
@@ -433,7 +506,7 @@ def test_failed_containment_is_an_error_not_a_traceback(capsys, tmp_path) -> Non
     assert err == f"error: {table}: replay failed: row 0: containment fails: (1, 1, 1) vs (1, 2)\n"
 
 
-@pytest.mark.parametrize("command", ["indfree", "table"])
+@pytest.mark.parametrize("command", ["indfree"])
 def test_ziegler_certificates_replay(capsys, tmp_path, command) -> None:
     # the table of a Ziegler restriction names no fixture, so its replay
     # takes the same --spec and --ziegler as the command that printed it
@@ -480,8 +553,9 @@ def test_hereditary_negative_answers(capsys) -> None:
 def test_unreadable_input_file_is_an_error_not_a_traceback(capsys, tmp_path, option) -> None:
     binary = tmp_path / "binary"
     binary.write_bytes(b"\xff\xfe{")
+    command = {"--replay": "table", "--fixture": "indfree"}[option]
     for path in (tmp_path, binary):
-        code, out, err = run_cli(capsys, ["table", option, str(path)])
+        code, out, err = run_cli(capsys, [command, option, str(path)])
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: ")
 
@@ -489,7 +563,7 @@ def test_unreadable_input_file_is_an_error_not_a_traceback(capsys, tmp_path, opt
 def test_rank4_table_round_trips(capsys, tmp_path) -> None:
     # every Euler restriction of this chain has rank 3, so the replay
     # decides each one afresh and replays that chain in turn
-    code, out, _ = run_cli(capsys, ["table", "--spec", "A:2:4:4", "--json"])
+    code, out, _ = run_cli(capsys, ["indfree", "--spec", "A:2:4:4", "--json"])
     assert code == 0
     doc = tmp_path / "a244.json"
     doc.write_text(out, encoding="utf-8")
@@ -502,12 +576,6 @@ def test_rank4_table_round_trips(capsys, tmp_path) -> None:
     doc.write_text(json.dumps(broken), encoding="utf-8")
     code, _, err = run_cli(capsys, ["table", "--replay", str(doc)])
     assert code == 1 and "restriction exponents" in err
-
-
-def test_table_emit_mode_refuses_negative_inputs(capsys) -> None:
-    code, _, err = run_cli(capsys, ["table", "--spec", "A:3:3:0"])
-    assert code == 1
-    assert "verdict is no" in err
 
 
 def test_verify_subset_and_unknown_check(capsys) -> None:

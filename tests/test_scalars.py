@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -188,6 +189,17 @@ def test_mixed_orders_rejected() -> None:
         zeta(3) + zeta(4)
     with pytest.raises(ValueError, match="mixed scalar orders"):
         zeta(3) * one(1)
+
+
+@pytest.mark.parametrize("value", [0.1, "1/3", Decimal("0.1")], ids=["float", "str", "Decimal"])
+def test_inexact_operands_are_rejected(value) -> None:
+    # Fraction(0.1) is 3602879701896397/36028797018963968, and a str would be parsed
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        Scalar.of(value, 3)
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        Scalar(1, (value,))
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        zeta(3) * value
 
 
 def test_zero_division() -> None:
