@@ -30,6 +30,7 @@ from .catalog import (
     FixtureError,
     format_fixture,
     intermediate,
+    load_fixture,
     parse_fixture,
     parse_spec_string,
     shipped_fixture,
@@ -41,12 +42,12 @@ from .induction import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     additive_refuter,
+    certificate,
     e2,
     emit_induction_table,
     hereditarily_inductively_free,
     is_inductively_free,
     replay_table,
-    table_rows,
     table_shape_error,
 )
 from .rank2 import euler_multiplicity
@@ -79,14 +80,32 @@ def _budget(text: str) -> int:
     return value
 
 
+def _resolve(token: str, kind: str, read_file, shipped, names):
+    """``read_file(token)`` if ``token`` is an existing path, else ``shipped(token)``.
+
+    ``--fixture`` and ``--replay`` read NAME|PATH this one way; a file that
+    does not read and a name that is not shipped are CommandErrors, the
+    latter listing ``names()``.
+    """
+    if Path(token).exists():
+        try:
+            return read_file(token)
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, malformed
+            raise CommandError(f"{token}: {exc}") from None
+    try:
+        return shipped(token)
+    except KeyError:
+        raise CommandError(f"{token!r} is neither a file nor a shipped {kind}; shipped: " + ", ".join(names())) from None
+
+
 def _load_input(args) -> tuple[MultiArrangement, str]:
     """The (multiarrangement, display name) named by --spec/--fixture.
 
-    With --ziegler H0 it is the Ziegler restriction of that (simple)
-    input at H0.
+    A file's name is its path, a shipped fixture's its stem.  With
+    --ziegler H0 it is the Ziegler restriction of that (simple) input at H0.
     """
-    token = getattr(args, "fixture", None)
-    if getattr(args, "spec", None):
+    token = args.fixture
+    if args.spec:
         try:
             spec = parse_spec_string(args.spec)
         except ValueError as exc:
@@ -99,20 +118,9 @@ def _load_input(args) -> tuple[MultiArrangement, str]:
             m, name = parse_fixture(sys.stdin.read()), "<stdin>"
         except FixtureError as exc:
             raise CommandError(f"stdin: {exc}") from None
-    elif Path(token).exists():
-        try:
-            m, name = parse_fixture(Path(token).read_text(encoding="utf-8")), token
-        except (FixtureError, OSError, UnicodeDecodeError) as exc:
-            raise CommandError(f"{token}: {exc}") from None
     else:
-        name = token[: -len(".arr")] if token.endswith(".arr") else token
-        try:
-            m = shipped_fixture(name)
-        except KeyError:
-            raise CommandError(
-                f"{token!r} is neither a file nor a shipped fixture; shipped: "
-                + ", ".join(shipped_fixture_names())
-            ) from None
+        stem = token.removesuffix(".arr")
+        m, name = _resolve(token, "fixture", lambda path: (load_fixture(path), path), lambda _: (shipped_fixture(stem), stem), shipped_fixture_names)
     if getattr(args, "ziegler", None):
         _require_simple(m, "--ziegler")
         h0 = _resolve_hyperplane(m.arrangement, args.ziegler)
@@ -274,15 +282,7 @@ def _cmd_indfree(args) -> int:
     m, name = _load_input(args)
     rep = is_inductively_free(m, args.budget, _progress(f"indfree {name}"))
     status = {"yes": "ok", "no": "refuted", "unknown": "unknown"}[rep.verdict]
-    payload = {
-        "input": name,
-        "verdict": rep.verdict,
-        "exponents": sorted(rep.exponents) if rep.exponents is not None else None,
-        "nodes": rep.nodes,
-        "base": [[label, mult] for label, mult in rep.base],
-        "start_exponents": list(rep.base_exponents) if rep.base_exponents is not None else None,
-        "rows": table_rows(rep),
-    }
+    payload = {"input": name, "nodes": rep.nodes, **certificate(rep)}
     if rep.verdict == "yes":
         human = f"{name}: inductively free, exponents {{{', '.join(map(str, sorted(rep.exponents)))}}}\n"
         human += emit_induction_table(rep)
@@ -342,20 +342,9 @@ def _cmd_refute(args) -> int:
 
 def _cmd_table(args) -> int:
     source = args.replay
-    if Path(source).exists():
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
-            raise CommandError(f"{source}: {exc}") from None
-        if isinstance(doc, dict) and "payload" in doc:  # a --json indfree result
-            doc = doc["payload"]
-    else:
-        try:
-            doc = shipped_table(source)
-        except KeyError:
-            raise CommandError(
-                f"{source!r} is neither a file nor a shipped table; shipped: " + ", ".join(shipped_table_names())
-            ) from None
+    doc = _resolve(source, "table", lambda path: json.loads(Path(path).read_text(encoding="utf-8")), shipped_table, shipped_table_names)
+    if isinstance(doc, dict) and "payload" in doc:  # a --json indfree result
+        doc = doc["payload"]
     # the shape first: a document that is not an object names no fixture
     problem = table_shape_error(doc)
     if problem is not None:

@@ -72,6 +72,7 @@ __all__ = [
     "RefutationReport",
     "Session",
     "additive_refuter",
+    "certificate",
     "check_addition_step",
     "e2",
     "emit_induction_table",
@@ -80,7 +81,6 @@ __all__ = [
     "localization_obstruction",
     "replay_addition_rows",
     "replay_table",
-    "table_rows",
     "table_shape_error",
 ]
 
@@ -502,15 +502,23 @@ def _deletion_walk(m: MultiArrangement, exps: tuple[int, ...], b2: int, budget: 
     return RefutationReport(verdict, engine.nodes, dead_ends, max_depth, chain, tuple(digests), dead_ends > len(digests), b2)
 
 
-def table_rows(report: InductionReport) -> list[list]:
-    """Certificate steps as JSON-ready rows [exp', label, exp'']."""
-    return [[list(before), label, list(restricted)] for before, label, restricted in report.steps]
+def certificate(report: InductionReport) -> dict:
+    """A search's answer as a JSON-ready table document, the one :func:`replay_table` reads.
+
+    ``start_exponents`` and ``rows`` [exp', label, exp''] drive the
+    replay; ``verdict``, ``exponents`` and ``base`` are claims it checks.
+    """
+    return {
+        "verdict": report.verdict,
+        "exponents": sorted(report.exponents) if report.exponents is not None else None,
+        "base": [[label, mu] for label, mu in report.base],
+        "start_exponents": list(report.base_exponents) if report.base_exponents is not None else None,
+        "rows": [[list(before), label, list(restricted)] for before, label, restricted in report.steps],
+    }
 
 
 def emit_induction_table(report: InductionReport) -> str:
-    """Render a certificate as a three-column induction table."""
-    if report.verdict != "yes":
-        return f"verdict: {report.verdict} (nodes explored: {report.nodes})"
+    """Render a "yes" certificate as a three-column induction table."""
 
     def braced(values) -> str:
         return "{" + ", ".join(map(str, values)) + "}"
@@ -520,13 +528,13 @@ def emit_induction_table(report: InductionReport) -> str:
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c]) for c in range(3)]
     lines = []
     base_desc = ", ".join(f"{label}:{mu}" for label, mu in report.base) or "(empty)"
-    lines.append(f"base [{base_desc}] with exponents {braced(report.base_exponents or ())}")
+    lines.append(f"base [{base_desc}] with exponents {braced(report.base_exponents)}")
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     lines.append(fmt.format(*header))
     lines.append("  ".join("-" * w for w in widths))
     for r in rows:
         lines.append(fmt.format(*r))
-    lines.append(f"final exponents {braced(report.exponents or ())}")
+    lines.append(f"final exponents {braced(report.exponents)}")
     return "\n".join(lines)
 
 
@@ -630,13 +638,13 @@ def replay_table(
     """Replay an addition-table document against m: its rows and final exponents.
 
     ``doc`` is a JSON object with integer ``start_exponents`` and rows
-    ``[exponents, label, exponents]`` as :func:`table_rows` writes them.
+    ``[exponents, label, exponents]``, as :func:`certificate` writes them.
     Each claim it also makes must hold: the final exponents, as
-    ``final_exponents`` or else an indfree payload's ``exponents``, and the
-    ``base``, m minus the rows' additions as [label, multiplicity] pairs
-    in hyperplane order.  Raises ValueError on a malformed document, a
-    failed replay or a false claim, BudgetExceeded when a search of the
-    replay runs past ``budget``.
+    ``final_exponents`` or as a certificate's ``exponents`` (both when
+    both are given), the ``verdict`` "yes", and the ``base``, m minus the
+    rows' additions as [label, multiplicity] pairs in hyperplane order.
+    Raises ValueError on a malformed document, a failed replay or a false
+    claim, BudgetExceeded when a search of the replay runs past ``budget``.
     """
     problem = table_shape_error(doc)
     if problem is not None:
@@ -646,9 +654,11 @@ def replay_table(
         final = replay_addition_rows(m, tuple(doc["start_exponents"]), rows, budget=budget)
     except ValueError as exc:
         raise ValueError(f"replay failed: {exc}") from None
-    expected = doc.get("final_exponents", doc.get("exponents"))
-    if expected is not None and tuple(sorted(expected)) != final:
-        raise ValueError(f"replay ends at {final}, table claims {tuple(sorted(expected))}")
+    for key in ("final_exponents", "exponents"):
+        if (expected := doc.get(key)) is not None and tuple(sorted(expected)) != final:
+            raise ValueError(f"replay ends at {final}, table claims {tuple(sorted(expected))}")
+    if (verdict := doc.get("verdict", "yes")) != "yes":
+        raise ValueError(f"the table's verdict {verdict!r} is not its replay's 'yes'")
     if (claimed := doc.get("base")) is not None:
         state = list(m.mult)
         for _, label, _ in rows:

@@ -46,11 +46,11 @@ from .catalog import (
 from .induction import (
     Session,
     additive_refuter,
+    certificate,
     e2,
     is_inductively_free,
     localization_obstruction,
     replay_table,
-    table_rows,
 )
 from .rank2 import (
     common_value,
@@ -210,8 +210,7 @@ def _check_induction_tables() -> tuple[bool, str]:
             bad.append(f"{name}: verdict {rep.verdict}, exponents {got}, expected yes {want}")
             continue
         # the certificate just found must replay, like the frozen tables
-        doc = {"start_exponents": list(rep.base_exponents), "rows": table_rows(rep), "final_exponents": list(want)}
-        replays.append((f"{name}: certificate", m, doc))
+        replays.append((f"{name}: certificate", m, certificate(rep)))
         notes.append(f"{name} {{{','.join(map(str, want))}}} ({len(rep.steps)} steps)")
     for name in shipped_table_names():
         payload = shipped_table(name)

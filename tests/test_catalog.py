@@ -160,6 +160,9 @@ def test_fixture_parsing_tolerates_comments() -> None:
         ("zeta 3\nform (1) mult 1", 2, "before dim/zeta"),
         ("dim 2\nzeta 3\nbogus x", 3, "unknown keyword"),
         ("dim 2\ndim 2", 2, "duplicate dim"),
+        ("dim 2\nzeta 1\nzeta 1", 3, "duplicate zeta"),
+        ("dim x", 1, "needs an integer"),
+        ("dim 2\nzeta 1\nform 1, 0 mult 1", 3, "expected form \\("),
         ("dim 0", 1, "must be positive"),
         ("dim 2\nzeta 1\nform (1) mult 1", 3, "expected 2 coefficients"),
         ("dim 2\nzeta 1\nform (1, 0) mult 0", 3, "must be positive"),

@@ -192,6 +192,15 @@ def test_charpoly_that_does_not_split(capsys) -> None:
     assert payload_of(out) == {"input": "<stdin>", "coefficients": [-3, 6, -4, 1], "exponents": None}
 
 
+def test_charpoly_of_a_non_essential_arrangement(capsys) -> None:
+    # x, y, x+y in dimension 3: chi = t(t - 1)(t - 2), so a zero
+    # coefficient is skipped and 0 is an exponent
+    fixture = "dim 3\nzeta 1\n" + "".join(f"form ({form}) mult 1\n" for form in ("1,0,0", "0,1,0", "1,1,0"))
+    code, out, _ = run_cli(capsys, ["charpoly", "--fixture", "-"], fixture)
+    assert code == 0
+    assert out == "chi(<stdin>; t) = t^3 - 3*t^2 + 2*t\nsplits over Z with exponents {0, 1, 2}\n"
+
+
 def test_charpoly_output(capsys) -> None:
     code, out, _ = run_cli(capsys, ["charpoly", "--spec", "A:3:3:0"])
     assert code == 0
@@ -216,6 +225,13 @@ def test_negative_verdict_exit_code(capsys) -> None:
     code, out, _ = run_cli(capsys, ["indfree", "--spec", "A:3:3:0"])
     assert code == 2
     assert "not inductively free" in out
+
+
+def test_long_searches_report_progress(capsys) -> None:
+    # every 1000 states a line on stderr; stdout holds the answer alone
+    code, out, err = run_cli(capsys, ["indfree", "--spec", "A:3:4:0", "--budget", "2500"])
+    assert code == 3 and out == "A:3:4:0: undecided within the budget of 2500 states\n"
+    assert err == "indfree A:3:4:0: 1000 states explored\nindfree A:3:4:0: 2000 states explored\n"
 
 
 def test_budget_exit_code(capsys) -> None:
@@ -416,8 +432,9 @@ def test_emitted_table_replays(capsys, tmp_path) -> None:
     [
         ("exponents", [1, 2, 3], "replay ends at (7, 9, 11), table claims (1, 2, 3)\n"),
         ("base", [["a1", 5]], "the table's base [['a1', 5]] is not its rows' base [['a5', 1], ['a8', 1]]\n"),
+        ("verdict", "no", "the table's verdict 'no' is not its replay's 'yes'\n"),
     ],
-    ids=["exponents", "base"],
+    ids=["exponents", "base", "verdict"],
 )
 def test_a_certificate_with_a_false_claim_is_refused(capsys, tmp_path, claim, value, problem) -> None:
     code, out, _ = run_cli(capsys, ["indfree", "--fixture", "g33_a2_kappa", "--json"])
@@ -475,6 +492,8 @@ def _a342_with_label(label: str) -> dict:
         ),
         (_with(final_exponents=[7, 9, 12]), "replay ends at (7, 9, 11), table claims (7, 9, 12)\n"),
         (_with(exponents=7), "'exponents' must be a list of integers"),
+        # both exponent claims are checked, not only the first one present
+        (_with(exponents=[1, 2, 3]), "replay ends at (7, 9, 11), table claims (1, 2, 3)\n"),
         (
             {"fixture": "A:3:3:0", "start_exponents": [1, 4, 4], "rows": []},
             "replay failed: base: a rank-3 restriction is not inductively free (no)\n",
@@ -482,7 +501,7 @@ def _a342_with_label(label: str) -> dict:
     ],
     ids=[
         "list", "payload-list", "two-field-row", "int-label", "int-rows", "str-start", "no-start", "int-final",
-        "unknown-label", "wrong-before", "wrong-final", "int-exponents", "unfree-base",
+        "unknown-label", "wrong-before", "wrong-final", "int-exponents", "false-exponents", "unfree-base",
     ],
 )
 def test_malformed_table_is_an_error_not_a_traceback(capsys, tmp_path, doc, problem) -> None:

@@ -34,6 +34,7 @@ from multiarr.rank2 import (
     euler_pattern,
     indexed_plane,
     is_saito_basis,
+    pair_for,
     plane_exponent_pair,
     plane_exponents,
     rank2_exponents,
@@ -301,6 +302,7 @@ def test_low_rank_inputs_are_witnessless() -> None:
     assert verify_witness(res, 1)
     empty = multi(arrangement(2, 1, [[rational(1), rational(0)]]), [0])
     assert rank2_exponents(empty).exponents == (0, 0)
+    assert pair_for(((line(Fraction(0)), 0), (line(None), 0)), 1) == (0, 0)
 
 
 def test_verify_witness_rejects_tampering() -> None:
@@ -314,6 +316,11 @@ def test_verify_witness_rejects_tampering() -> None:
     assert not verify_witness(Rank2Result(pair, witness, heavier), 1)
     fake = Rank2Result((0, sum(m for _, m in plane)), None, plane)
     assert not verify_witness(fake, 1)
+    # exponents shifted one below the true pair, with a witness of the lower
+    # degree d: no nonzero derivation of degree d is in D(A, mu), y^d d/dx neither
+    low = pair[0] - 1
+    below = Rank2Derivation(low, (zero(1),) * low + (one(1),), (zero(1),) * (low + 1))
+    assert not verify_witness(Rank2Result((low, pair[1] + 1), below, plane), 1)
 
 
 def test_saito_certificate_rejects_tampering() -> None:
@@ -335,6 +342,12 @@ def test_saito_certificate_rejects_tampering() -> None:
 
 def test_zero_derivation_never_satisfies() -> None:
     theta = Rank2Derivation(1, (zero(1), zero(1)), (zero(1), zero(1)))
+    assert not derivation_satisfies(((line(Fraction(0)), 1), (line(None), 1)), theta)
+
+
+def test_x_d_dy_is_not_tangent_to_the_line_y() -> None:
+    # theta(x) = 0, but theta(y) = x, which y does not divide
+    theta = Rank2Derivation(1, (zero(1), zero(1)), (one(1), zero(1)))
     assert not derivation_satisfies(((line(Fraction(0)), 1), (line(None), 1)), theta)
 
 

@@ -202,6 +202,13 @@ def test_inexact_operands_are_rejected(value) -> None:
         zeta(3) * value
 
 
+def test_malformed_constructions_are_rejected() -> None:
+    with pytest.raises(ValueError, match="Q\\(zeta_3\\) needs 2 coefficients, got 1"):
+        Scalar(3, (1,))
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        zeta(3, -1)
+
+
 def test_zero_division() -> None:
     with pytest.raises(ZeroDivisionError):
         zero(3).inverse()
