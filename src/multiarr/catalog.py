@@ -152,8 +152,7 @@ def restriction_type(spec: IntermediateSpec, h: int | str) -> IntermediateSpec:
     ``h`` is an index or label of :func:`intermediate`'s output.  The
     classification depends only on where the form sits relative to k:
 
-    - k = 0: every restriction is A^1_{l-1}(r)
-    - coordinate form, or k = l: A^{l-1}_{l-1}(r)
+    - coordinate form: A^{l-1}_{l-1}(r)
     - H_{i,j} with j <= k: A^{k-1}_{l-1}(r)
     - H_{i,j} with i <= k < j: A^k_{l-1}(r)
     - H_{i,j} with k < i < j: A^{k+1}_{l-1}(r)
@@ -164,10 +163,6 @@ def restriction_type(spec: IntermediateSpec, h: int | str) -> IntermediateSpec:
         raise IndexError(f"hyperplane {idx} not in {spec}")
     ell, k = spec.ell, spec.k
     if idx < k:
-        return IntermediateSpec(spec.r, ell - 1, ell - 1)
-    if k == 0:
-        return IntermediateSpec(spec.r, ell - 1, 1)
-    if k == ell:
         return IntermediateSpec(spec.r, ell - 1, ell - 1)
     pair = (idx - k) // spec.r
     i, j = list(combinations(range(1, ell + 1), 2))[pair]

@@ -45,7 +45,6 @@ state they enter, and size-passing deletions.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from typing import Callable, NamedTuple
 
@@ -66,6 +65,7 @@ from .rank2 import euler_multiplicity, euler_pattern, local_b2, low_rank_exponen
 
 __all__ = [
     "BudgetExceeded",
+    "HereditaryReport",
     "InductionReport",
     "InductionStep",
     "ObstructionReport",
@@ -115,13 +115,6 @@ def check_addition_step(before: tuple[int, ...], restricted: tuple[int, ...]) ->
             return None
     assert len(leftover) == 1
     return tuple(sorted(restricted + (leftover[0] + 1,)))
-
-
-@functools.lru_cache(maxsize=None)
-def _digest_order(arr: Arrangement) -> tuple[tuple[tuple, int], ...]:
-    """(Fraction coefficients, index) of each form, sorted; only the
-    refuter's dead-end digests use it, so it is built at the first one."""
-    return tuple(sorted((tuple(c.coeffs for c in f.coeffs), i) for i, f in enumerate(arr.hyperplanes)))
 
 
 class Session:
@@ -363,25 +356,19 @@ def hereditarily_inductively_free(
 ) -> HereditaryReport:
     """Simple arrangement plus every proper restriction, all inductively free.
 
-    Restrictions are taken with simple multiplicity; chains starting at
-    a simple multiarrangement only visit simple states, so this agrees
-    with the classical notion for simple arrangements.
+    The arrangement is its own restriction to the rank-0 flat, the first
+    of the lattice, so one loop decides it first and ``failed_flat`` is
+    None when it is the one that fails.  Restrictions are taken with
+    simple multiplicity; chains starting at a simple multiarrangement
+    only visit simple states, so this agrees with the classical notion
+    for simple arrangements.
     """
     session = Session()
-    checked = 0
-    result = is_inductively_free(simple_multi(arr), budget, progress, session=session)
-    checked += 1
-    if result.verdict != "yes":
-        return HereditaryReport(result.verdict, None, checked)
-    top_rank = rank_of(arr)
-    for flat in intersection_lattice(arr, max(top_rank - 1, 0)):
-        if flat.rank == 0:
-            continue
+    for checked, flat in enumerate(intersection_lattice(arr, max(rank_of(arr) - 1, 0)), 1):
         res = restriction(arr, flat).arrangement
         report = is_inductively_free(simple_multi(res), budget, progress, session=session)
-        checked += 1
         if report.verdict != "yes":
-            return HereditaryReport(report.verdict, flat, checked)
+            return HereditaryReport(report.verdict, flat if flat.rank else None, checked)
     return HereditaryReport("yes", None, checked)
 
 
@@ -400,10 +387,9 @@ _DIGEST_CAP = 10_000
 
 
 def _digest(arr: Arrangement, state: tuple[int, ...], virtual: tuple[int, ...]) -> str:
-    """Hash of a dead end: its content keyed and sorted by Fraction coefficients.
+    """Hash of a dead end: the text of its :func:`.arrangement.state_key` and
+    virtual exponents, so equal content in any hyperplane order hashes alike.
 
-    The text is that of the original Fraction-keyed state keys, so the
-    digests stay comparable across versions; nothing else renders it.
     The builtin ``_sha2`` (``_sha256`` before 3.12) spares it OpenSSL.
     """
     try:
@@ -413,9 +399,7 @@ def _digest(arr: Arrangement, state: tuple[int, ...], virtual: tuple[int, ...]) 
             from _sha256 import sha256
         except ImportError:
             from hashlib import sha256
-    content = tuple((k, state[i]) for k, i in _digest_order(arr) if state[i])
-    text = repr(((arr.dim, arr.zeta_order, content), virtual)).encode()
-    return sha256(text).hexdigest()[:16]
+    return sha256(repr((state_key(arr, state), virtual)).encode()).hexdigest()[:16]
 
 
 def e2(values: Sequence[int]) -> int:

@@ -181,9 +181,10 @@ def derivation_satisfies(plane: Plane, theta: Rank2Derivation) -> bool:
     """Independent witness check: alpha^mult | theta(alpha) for each line.
 
     Uses repeated exact polynomial division, independent of the solver
-    that produced the witness.
+    that produced the witness.  A witness whose coefficient lists do not
+    have ``degree + 1`` entries fails, so its degree can be trusted.
     """
-    if not any(theta.f1) and not any(theta.f2):
+    if not len(theta.f1) == len(theta.f2) == theta.degree + 1 or not any(theta.f1 + theta.f2):
         return False
     for line, mult in plane:
         a, b = line

@@ -12,10 +12,9 @@ reduction modulo Phi_r stay in the integers, with one gcd per result.  An
 inverse is integer work too: the extended Euclidean algorithm against
 Phi_r.
 ``fractions.Fraction`` appears only at the edges: as input coefficients
-and in the derived :attr:`Scalar.coeffs`, which printing reads and the
-refuter's dead-end digests hash, frozen for byte stability.  The content
-key (``arrangement.state_key``) and the line order of planes use the
-integer ``num`` and ``den`` instead.
+and in the derived :attr:`Scalar.coeffs`, which printing reads.  The
+content key (``arrangement.state_key``), the refuter's dead-end digests
+and the line order of planes use the integer ``num`` and ``den``.
 
 For r = 1 the basis is just {1}, so scalars are plain rationals.
 

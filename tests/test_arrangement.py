@@ -82,6 +82,11 @@ def test_default_labels_and_lookup() -> None:
     assert arr.index_of_form(linear_form(rows((0, 2))[0])) == 1
 
 
+def test_an_arrangement_is_not_equal_to_a_tuple() -> None:
+    arr = arrangement(2, 1, rows((1, 0), (0, 1)))
+    assert arr != (arr.dim, arr.zeta_order, arr.hyperplanes, arr.labels)
+
+
 def test_lattice_of_three_concurrent_lines() -> None:
     arr = arrangement(2, 1, rows((1, 0), (0, 1), (1, 1)))
     flats = intersection_lattice(arr)

@@ -161,6 +161,7 @@ def test_fixture_parsing_tolerates_comments() -> None:
         ("dim 2\nzeta 3\nbogus x", 3, "unknown keyword"),
         ("dim 2\ndim 2", 2, "duplicate dim"),
         ("dim 2\nzeta 1\nzeta 1", 3, "duplicate zeta"),
+        ("dim 2\nzeta 1001\nform (1, 0) mult 1", 2, "zeta must be at most 1000, got 1001"),
         ("dim x", 1, "needs an integer"),
         ("dim 2\nzeta 1\nform 1, 0 mult 1", 3, "expected form \\("),
         ("dim 0", 1, "must be positive"),

@@ -255,6 +255,15 @@ def test_budget_below_one_is_a_usage_error(capsys, argv) -> None:
     assert "--budget: must be >= 1" in err
 
 
+def test_a_closed_pipe_exits_one(monkeypatch) -> None:
+    class ClosedPipe(io.StringIO):
+        def write(self, text: str) -> int:
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["lattice", "--spec", "A:2:2:0"]) == 1
+
+
 def test_usage_errors_exit_one(capsys) -> None:
     code, _, err = run_cli(capsys, ["no-such-command"])
     assert code == 1 and "usage" in err

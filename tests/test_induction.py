@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -694,9 +695,30 @@ def test_refuter_pins_the_dead_end_digests() -> None:
     assert (rep.explored, rep.dead_ends) == (258, 49)
     digests = rep.dead_end_digests
     assert len(digests) == 49 and not rep.digests_truncated
-    assert digests[:2] == ("cedc579451023ba3", "067e591894077ba6")
+    assert digests[:2] == ("3e27182ba4c3809c", "d4ec99bd0646f409")
     joined = hashlib.sha256(",".join(digests).encode()).hexdigest()
-    assert joined == "ad7a6f78af89ce0cfa9eb7cfb1a52dbf8bad892cbc3d71184efd25eb1650049b"
+    assert joined == "45c9ed034e1f7f77ad5fe2acc2e6a8eb7c923a6b5067780e39945d854db40337"
+
+
+def test_dead_end_digests_depend_on_content_only() -> None:
+    kappa = shipped_fixture("g33_a2_kappa")
+    arr = kappa.arrangement
+    perm = list(range(arr.n))
+    random.Random(4).shuffle(perm)
+    reordered = arrangement(arr.dim, arr.zeta_order, [arr.hyperplanes[i] for i in perm], [arr.labels[i] for i in perm])
+    copy = MultiArrangement(reordered, tuple(kappa.mult[i] for i in perm))
+    digests = _deletion_walk(kappa, (8, 8, 11), 239).dead_end_digests
+    copied = _deletion_walk(copy, (8, 8, 11), 239).dead_end_digests
+    assert len(set(digests)) == 49 and set(copied) == set(digests)
+
+
+def test_dead_end_digests_without_the_builtin_hash_module(monkeypatch) -> None:
+    kappa = shipped_fixture("g33_a2_kappa")
+    builtin = _deletion_walk(kappa, (8, 8, 11), 239).dead_end_digests
+    # a None entry makes the import fail, so _digest falls back to hashlib
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert _deletion_walk(kappa, (8, 8, 11), 239).dead_end_digests == builtin
 
 
 def test_root_gate_agrees_with_the_walk_on_every_exponent_triple() -> None:

@@ -34,6 +34,7 @@ from multiarr.rank2 import (
     euler_pattern,
     indexed_plane,
     is_saito_basis,
+    padded,
     pair_for,
     plane_exponent_pair,
     plane_exponents,
@@ -202,6 +203,8 @@ def test_rejects_degenerate_systems() -> None:
         plane_exponent_pair(((line(None), 3),), 1)
     with pytest.raises(ValueError, match="at least two lines"):
         plane_exponents((), 1)
+    with pytest.raises(ValueError, match="3 exponents will not fit in rank 2"):
+        padded((1, 2, 3), 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,6 +326,17 @@ def test_verify_witness_rejects_tampering() -> None:
     assert not verify_witness(Rank2Result((low, pair[1] + 1), below, plane), 1)
 
 
+def test_verify_witness_refuses_a_forged_degree() -> None:
+    # the true degree-3 witness of x^2, (x+y)^2, y^2 relabelled as degree 2:
+    # its divisions still hold and no derivation exists below degree 2
+    plane = ((line(Fraction(0)), 2), (line(Fraction(1)), 2), (line(None), 2))
+    pair, witness = plane_exponents(plane, 1)
+    assert pair == (3, 3)
+    forged = Rank2Derivation(2, witness.f1, witness.f2)
+    assert not derivation_satisfies(plane, forged)
+    assert not verify_witness(Rank2Result((2, 4), forged, plane), 1)
+
+
 def test_saito_certificate_rejects_tampering() -> None:
     plane = tuple((line(s), 2) for s in (Fraction(0), None, Fraction(1), Fraction(-1)))
     low, high = _order_basis(plane, 1)
@@ -338,6 +352,15 @@ def test_saito_certificate_rejects_tampering() -> None:
     swapped = Rank2Derivation(high.degree, high.f2, high.f1)
     assert not derivation_satisfies(plane, swapped)
     assert not is_saito_basis(plane, (low, swapped))
+
+
+def test_an_order_basis_failing_saito_is_an_error(monkeypatch) -> None:
+    plane = ((line(Fraction(0)), 2), (line(Fraction(1)), 2), (line(None), 2))
+    lower = _order_basis(plane, 1)[0]
+    monkeypatch.setattr(rank2, "_order_basis", lambda plane, order: (lower, lower))
+    plane_exponents.cache_clear()
+    with pytest.raises(ArithmeticError, match="order basis failed Saito's criterion"):
+        plane_exponents(plane, 1)
 
 
 def test_zero_derivation_never_satisfies() -> None:

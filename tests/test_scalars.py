@@ -202,6 +202,12 @@ def test_inexact_operands_are_rejected(value) -> None:
         zeta(3) * value
 
 
+def test_a_scalar_is_not_equal_to_an_int() -> None:
+    # arithmetic mixes in ints, equality does not
+    assert not one(1) == 1
+    assert one(1) != 1
+
+
 def test_malformed_constructions_are_rejected() -> None:
     with pytest.raises(ValueError, match="Q\\(zeta_3\\) needs 2 coefficients, got 1"):
         Scalar(3, (1,))
