@@ -220,6 +220,8 @@ class _Engine:
             last); a greedy unbalanced prefix tends to strand the walk in
             dead-end corridors and makes the search orders of magnitude slower.
             """
+            # the support only grows along an addition, so rank >= 3 at x stays at every y
+            low = low_rank_exponents(arr, x) is not None
             for h in sorted((i for i in range(arr.n) if x[i] < target[i]), key=lambda i: (x[i] - target[i], target[i], i)):
                 y = x[:h] + (x[h] + 1,) + x[h + 1 :]
                 if y in dead:
@@ -228,7 +230,7 @@ class _Engine:
                 prior = yes.get(y_key)
                 if prior is not None:
                     y_exps = prior[0]
-                elif (y_exps := low_rank_exponents(arr, y)) is not None:
+                elif low and (y_exps := low_rank_exponents(arr, y)) is not None:
                     yes[y_key] = (y_exps, None, None)
                 else:
                     # sound size prefilter: exps(y) = exps(restriction) + {b + 1},

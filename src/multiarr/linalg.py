@@ -27,8 +27,9 @@ def rref(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[list[list[Scalar
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [x * inv for x in work[r]]
+        if not work[r][c].is_one():
+            inv = work[r][c].inverse()
+            work[r] = [x * inv for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c]:
                 f = work[i][c]

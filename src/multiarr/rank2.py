@@ -164,13 +164,16 @@ def _divide_once(g: list[Scalar], line: tuple[Scalar, Scalar]) -> list[Scalar] |
     if not a:
         if g[0]:
             return None
+        if b.is_one():
+            return g[1:]
         binv = b.inverse()
         return [c * binv for c in g[1:]]
+    if not a.is_one():
+        ainv = a.inverse()
+        g, b = [c * ainv for c in g], b * ainv
     q: list[Scalar] = []
-    ainv = a.inverse()
     for j in range(len(g) - 1):
-        num = g[j] - b * q[j - 1] if j else g[j]
-        q.append(num * ainv)
+        q.append(g[j] - b * q[j - 1] if j else g[j])
     rem = g[-1] - (b * q[-1] if q else zero(a.order))
     if rem:
         return None
@@ -188,7 +191,8 @@ def derivation_satisfies(plane: Plane, theta: Rank2Derivation) -> bool:
         return False
     for line, mult in plane:
         a, b = line
-        g = [a * c1 + b * c2 for c1, c2 in zip(theta.f1, theta.f2)]
+        pairs = zip(theta.f1, theta.f2)
+        g = [c1 + b * c2 for c1, c2 in pairs] if a.is_one() else [a * c1 + b * c2 for c1, c2 in pairs]
         for _ in range(mult):
             if all(not c for c in g):
                 break

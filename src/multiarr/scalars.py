@@ -8,15 +8,17 @@ and zero is (0, ..., 0) / 1.  So every element has exactly one form, and
 equality and hashing compare integers.
 
 Phi_r is monic with integer coefficients, so sums, products and the
-reduction modulo Phi_r stay in the integers, with one gcd per result.  An
-inverse is integer work too: the extended Euclidean algorithm against
-Phi_r.
+reduction modulo Phi_r stay in the integers, with one gcd per result.  A
+0 term and a 0 or 1 factor skip that work: the result is an operand
+itself, or its negation for 0 - x.  An inverse is integer work too: the
+extended Euclidean algorithm against Phi_r.
 ``fractions.Fraction`` appears only at the edges: as input coefficients
 and in the derived :attr:`Scalar.coeffs`, which printing reads.  The
 content key (``arrangement.state_key``), the refuter's dead-end digests
 and the line order of planes use the integer ``num`` and ``den``.
 
-For r = 1 the basis is just {1}, so scalars are plain rationals.
+For r = 1 the basis is just {1}, so scalars are plain rationals.  No
+field, and so no Scalar, has an order r above :data:`MAX_ORDER`.
 
 Each field also has one fixed reduction to a prime field,
 :func:`residue_field`: zeta goes to an omega of exact order r modulo a
@@ -97,13 +99,15 @@ class _Field(NamedTuple):
     powers: tuple[tuple[int, ...], ...]
 
 
-# The largest r whose field inputs may name: each field holds an
+# The largest r of any field, and so of any Scalar: each field holds an
 # r x deg(Phi_r) power table, about 3 MB at r = 1000 and over 1 GB at 20000.
 MAX_ORDER = 1000
 
 
 @functools.lru_cache(maxsize=None)
 def _field(order: int) -> _Field:
+    if order > MAX_ORDER:
+        raise ValueError(f"scalar order must be at most {MAX_ORDER}, got {order}")
     phi = cyclotomic_polynomial(order)
     degree = len(phi) - 1
     low = phi[:-1]  # Phi_order = x^d + low[d-1] x^(d-1) + ... + low[0]
@@ -366,6 +370,10 @@ class Scalar:
         if not isinstance(other, Scalar):
             other = Scalar.of(other, self._order)
         self._check(other)
+        if not any(other._num):
+            return self
+        if not any(self._num):
+            return other
         da, db = self._den, other._den
         if da == db:
             return _make(self._order, list(map(add, self._num, other._num)), da)
@@ -377,6 +385,10 @@ class Scalar:
         if not isinstance(other, Scalar):
             other = Scalar.of(other, self._order)
         self._check(other)
+        if not any(other._num):
+            return self
+        if not any(self._num):
+            return -other
         da, db = self._den, other._den
         if da == db:
             return _make(self._order, list(map(sub, self._num, other._num)), da)
@@ -393,6 +405,10 @@ class Scalar:
             n, d = _ratio(other)
             return _make(self._order, [a * n for a in self._num], self._den * d)
         self._check(other)
+        if not any(self._num) or other.is_one():
+            return self
+        if not any(other._num) or self.is_one():
+            return other
         return _make(self._order, _product(_field(self._order), self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__

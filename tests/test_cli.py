@@ -162,6 +162,12 @@ def test_lattice_json_bytes_are_pinned(capsys, argv, digest) -> None:
             ["refute", "--fixture", "g34_g333_kappa", "--budget", "500", "--exponents", "14 15 19"],
             "c50af52621e79e0450ddc4359919d40e5aa072fe41aa385f4fec8d7d5ddd165d",
         ),
+        # taken at the parent commit of the zero and unit short-cuts: a search
+        # of 486 nodes over the degree-4 field Q(zeta_5)
+        pin(
+            ["indfree", "--spec", "A:5:4:2", "--ziegler", "H_{1,2}(1)"],
+            "61e870086674547911996ea0703e7d0c001d5f6599e9a276d7d4aac055b4a73f",
+        ),
     ],
 )
 def test_scalar_json_bytes_are_pinned(capsys, argv, digest) -> None:
@@ -534,20 +540,27 @@ def test_failed_containment_is_an_error_not_a_traceback(capsys, tmp_path) -> Non
     assert err == f"error: {table}: replay failed: row 0: containment fails: (1, 1, 1) vs (1, 2)\n"
 
 
-@pytest.mark.parametrize("command", ["indfree"])
-def test_ziegler_certificates_replay(capsys, tmp_path, command) -> None:
+@pytest.mark.parametrize(
+    "spec, rows, final",
+    [
+        pytest.param("A:3:4:2", 14, [4, 7, 8], id="indfree"),
+        # Q(zeta_5) has degree 4: the witness route beyond the quadratic fields
+        pytest.param("A:5:4:2", 22, [6, 11, 14], id="indfree A:5:4:2"),
+    ],
+)
+def test_ziegler_certificates_replay(capsys, tmp_path, spec, rows, final) -> None:
     # the table of a Ziegler restriction names no fixture, so its replay
     # takes the same --spec and --ziegler as the command that printed it
-    source = ["--spec", "A:3:4:2", "--ziegler", "H_{1,2}(1)"]
-    code, out, _ = run_cli(capsys, [command, *source, "--json"])
+    source = ["--spec", spec, "--ziegler", "H_{1,2}(1)"]
+    code, out, _ = run_cli(capsys, ["indfree", *source, "--json"])
     assert code == 0
     doc = tmp_path / "zieg.json"
     doc.write_text(out, encoding="utf-8")
     code, out, _ = run_cli(capsys, ["table", "--replay", str(doc), *source, "--json"])
     assert code == 0
     payload = payload_of(out)
-    assert (payload["rows"], payload["final_exponents"]) == (14, [4, 7, 8])
-    assert payload["input"] == "Ziegler restriction of A:3:4:2 at H_{1,2}(1)"
+    assert (payload["rows"], payload["final_exponents"]) == (rows, final)
+    assert payload["input"] == f"Ziegler restriction of {spec} at H_{{1,2}}(1)"
 
 
 # a subarrangement of A:2:4:0 that is inductively free, while its restriction to a8 is not

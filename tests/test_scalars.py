@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiarr.scalars import (
+    MAX_ORDER,
     Scalar,
     ScalarParseError,
+    _field,
     cyclotomic_polynomial,
     one,
     parse_scalar,
@@ -189,6 +191,24 @@ def test_mixed_orders_rejected() -> None:
         zeta(3) + zeta(4)
     with pytest.raises(ValueError, match="mixed scalar orders"):
         zeta(3) * one(1)
+    # a zero or unit operand of another order is rejected before any short-cut
+    for mixed in (
+        lambda: zero(4) + zeta(3),
+        lambda: zeta(3) - zero(4),
+        lambda: one(3) * zeta(4),
+        lambda: zero(3) * one(4),
+    ):
+        with pytest.raises(ValueError, match="mixed scalar orders"):
+            mixed()
+
+
+def test_field_orders_above_the_limit_are_rejected() -> None:
+    # the gate runs before any power table is built, so nothing is cached
+    size = _field.cache_info().currsize
+    for build in (lambda: zeta(1001), lambda: Scalar.of(1, 1001), lambda: residue_field(1001)):
+        with pytest.raises(ValueError, match=f"at most {MAX_ORDER}, got 1001"):
+            build()
+    assert _field.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("value", [0.1, "1/3", Decimal("0.1")], ids=["float", "str", "Decimal"])
@@ -311,6 +331,11 @@ def test_arithmetic_matches_the_fraction_reference(data, q) -> None:
     _agrees(x * q, order, tuple(s * q for s in a))
     _agrees(q + x, order, (a[0] + q,) + a[1:])
     _agrees(x - q, order, (a[0] - q,) + a[1:])
+    # operands that are exactly zero(r) and one(r), which the arithmetic hands back as is
+    zeros, o, z = (Fraction(0),) * len(a), one(order), zero(order)
+    for got, want in [(x * o, a), (o * x, a), (x * z, zeros), (z * x, zeros), (x + z, a), (z + x, a), (x - z, a)]:
+        _agrees(got, order, want)
+    _agrees(z - x, order, tuple(-s for s in a))
     assert (x == y) == (a == b)
     if x == y:
         assert hash(x) == hash(y)
